@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -25,17 +27,20 @@ EXIT_CAPACITY = 3
 EXIT_CERTIFICATION = 4
 
 
+_NATURAL = re.compile(r"[0-9]+(\.[0-9]+)?([eE][0-9]+)?")
+_NATURAL_MAX_DIGITS = 4300  # Python's default limit for int <-> str conversion
+
+
 def _natural(text: str) -> int:
-    """Integer argument, also accepting forms like 1e6."""
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
+    """Nonnegative integer argument, also accepting exact forms like 1e6 or 2.5e3."""
+    if text.startswith("-"):
+        raise argparse.ArgumentTypeError(f"must not be negative: {text!r}")
+    if not _NATURAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value != int(value):
+    value = Decimal(text)  # exact, unlike float: 1e23 stays 10**23
+    if value.adjusted() >= _NATURAL_MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"too large: {text!r}")
+    if value != value.to_integral_value():
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
 

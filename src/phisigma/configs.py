@@ -18,6 +18,7 @@ refuses to emit a certificate on any disagreement.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -34,6 +35,16 @@ DEFAULT_BUDGET = 200_000
 
 def _form_sign(kind: str) -> int:
     return 1 if kind == "phi" else -1
+
+
+def _integer(value, what: str) -> int:
+    """value as an int; floats, strings and bools are refused, not converted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,7 @@ def build_config(matrix, kind: str, base_m: int = 1,
 
     base_k is computed from base_m when not supplied (phi kind only).
     """
-    rows = tuple(tuple(int(p) for p in row) for row in matrix)
+    rows = tuple(tuple(_integer(p, "matrix entry") for p in row) for row in matrix)
     if not rows or not rows[0]:
         raise DomainError("matrix must be nonempty")
     if kind == "phi" and base_k is None:
@@ -376,6 +387,10 @@ def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
         if base_m != 1:
             raise DomainError("sigma kind fixes base_m = 1")
         lower = (1 << r) + 1
+    if pool_bound <= lower:
+        raise DomainError(
+            f"pool bound {pool_bound} is below the 2^r floor {lower + 1}: matrix primes "
+            f"must exceed 2^{r} * base_m + 1 = {lower}")
     sign = _form_sign(kind)
     pool = sieve_range(lower + 1, pool_bound)
     stats = SearchStats()
@@ -554,12 +569,10 @@ def config_from_payload(payload: dict) -> PrimeConfig:
     matrix = payload.get("matrix")
     if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
         raise DomainError('config "matrix" must be a list of rows')
-    base_m = payload.get("base_m", 1)
-    if not isinstance(base_m, int):
-        raise DomainError('config "base_m" must be an integer')
+    base_m = _integer(payload.get("base_m", 1), 'config "base_m"')
     cfg = build_config(matrix, kind, base_m=base_m)
     for key in ("r", "n"):
-        if key in payload and payload[key] != getattr(cfg, key):
+        if key in payload and _integer(payload[key], f'config "{key}"') != getattr(cfg, key):
             raise DomainError(
                 f'config "{key}" is {payload[key]}, matrix implies {getattr(cfg, key)}')
     return cfg

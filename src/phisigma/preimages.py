@@ -1,13 +1,25 @@
 """Complete preimage enumeration for phi and sigma, and multiplicity tables.
 
-Per-target enumeration is a divisor-driven recursion over prime-power
-blocks; whole-range multiplicity counting runs on the segmented batch
-sieves instead.  Brute-force scan bounds used throughout: phi(x) >= sqrt(x/2)
+Per-target work runs on one engine for both maps, a dynamic program over
+the divisors of m (Alekseyev, J. Integer Seq. 19 (2016), Article 16.5.2).
+A preimage x of m is a product of prime-power blocks, one per prime of x,
+whose block values (phi(p**a) or sigma(p**b)) multiply to m.  The engine
+lists each prime's blocks, then fills a 0/1 knapsack over divisor indices
+with exact integer counts: how many ways each divisor of m is a product of
+block values of distinct primes.  multiplicity() reads the count for m and
+enumerates nothing.  phi_preimages() and sigma_preimages() check the same
+count against ENUM_CAPACITY before any solution is built, then backtrack
+from m through states with a nonzero count only, so no branch is explored
+that leads to no solution.
+
+Whole-range multiplicity counting runs on the segmented batch sieves
+instead.  Brute-force scan bounds used throughout: phi(x) >= sqrt(x/2)
 caps phi-preimages of m at 2m**2, sigma(x) >= x caps sigma-preimages at m.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +29,7 @@ from .errors import CapacityError, DomainError
 from .sieves import iter_phi_blocks, iter_sigma_blocks
 
 SCAN_CAPACITY = 2 * 10 ** 8  # most x-values a single table request may visit
+ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may build
 
 _KINDS = ("phi", "sigma")
 
@@ -49,48 +62,114 @@ class MultiplicityRecord:
     scan_bound: int
 
 
+def _prime_blocks(m: int, divs: list[int], map_kind: str) -> list[list[tuple[int, int]]]:
+    """Per prime pi, in ascending order, its blocks (value, pi**b) with value | m.
+
+    phi: p = d+1 prime for a divisor d, values d * p**(a-1).  sigma: every
+    (pi, b) with sigma(pi**b) = d for d >= 3; one value may come from several
+    primes (sigma(2**4) = sigma(5**2) = 31).
+    """
+    by_prime: dict[int, list[tuple[int, int]]] = {}
+    for d in divs:
+        if map_kind == "phi":
+            p = d + 1
+            if not arith.is_prime(p):
+                continue
+            value, power = d, p
+            while m % value == 0:
+                by_prime.setdefault(p, []).append((value, power))
+                value *= p
+                power *= p
+        elif d >= 3:
+            for pi, b in arith.prime_power_sigma_all(d):
+                by_prime.setdefault(pi, []).append((d, pi ** b))
+    return [by_prime[p] for p in sorted(by_prime)]
+
+
+class _DivisorDP:
+    """0/1 knapsack over the divisors of m, one item group per prime.
+
+    With the first i primes added, count[k] is the number of ways to write
+    divs[k] as a product of block values of distinct primes among them.  The
+    per-prime layers are kept in compressed form: the final counts, plus for
+    each divisor index k the ascending list uses[k] of the primes whose
+    addition raised count[k], which are exactly the primes that can be the
+    largest prime of a preimage of divs[k].  Counts never fall as primes are
+    added, so divs[k] has a representation using the first i primes iff
+    i > uses[k][0], or k == 0 (the empty product).
+    """
+
+    def __init__(self, m: int, map_kind: str):
+        divs = arith.divisors(arith.factorize(m))
+        index = {d: k for k, d in enumerate(divs)}
+        self.blocks = _prime_blocks(m, divs, map_kind)
+        count = [0] * len(divs)
+        count[0] = 1
+        uses: list[list[int]] = [[] for _ in divs]
+        for i, blocks in enumerate(self.blocks):
+            added: dict[int, int] = {}
+            for value, _ in blocks:
+                for k in range(index[value], len(divs)):
+                    w = divs[k]
+                    if w % value == 0:
+                        c = count[index[w // value]]
+                        if c:
+                            added[k] = added.get(k, 0) + c
+            for k, c in added.items():  # applied after reading: one block per prime
+                count[k] += c
+                uses[k].append(i)
+        self.divs, self.index, self.uses = divs, index, uses
+        self.total = count[-1]
+
+    def solutions(self) -> list[int]:
+        """Every preimage, unsorted, visiting only states with a nonzero count."""
+        divs, index, blocks, uses = self.divs, self.index, self.blocks, self.uses
+        # first[k]: the fewest leading primes that can represent divs[k]
+        first = [u[0] + 1 if u else len(blocks) + 1 for u in uses]
+        first[0] = 0
+        out: list[int] = []
+
+        def walk(i: int, k: int, acc: int) -> None:
+            if k == 0:
+                out.append(acc)
+            w = divs[k]
+            for j in uses[k][:bisect_left(uses[k], i)]:
+                for value, power in blocks[j]:
+                    if w % value == 0:
+                        rest = index[w // value]
+                        if first[rest] <= j:
+                            walk(j, rest, acc * power)
+
+        walk(len(blocks), len(divs) - 1, 1)
+        return out
+
+
+def _divisor_dp(m: int, map_kind: str) -> _DivisorDP | None:
+    """The engine for m, or None when m has no preimage for a parity reason."""
+    if m < 1:
+        raise DomainError(f"target must be positive, got {m}")
+    if map_kind == "phi" and m % 2 and m > 1:
+        return None  # phi(x) is even for x >= 3
+    return _DivisorDP(m, map_kind)
+
+
+def _preimages(m: int, map_kind: str) -> PreimageSet:
+    dp = _divisor_dp(m, map_kind)
+    if dp is None:
+        return PreimageSet(m, map_kind, ())
+    if dp.total > ENUM_CAPACITY:
+        raise CapacityError(
+            f"{map_kind} has {dp.total} preimages of {m}, over capacity {ENUM_CAPACITY}")
+    return PreimageSet(m, map_kind, tuple(sorted(dp.solutions())))
+
+
 def phi_preimages(m: int) -> PreimageSet:
     """All x with phi(x) == m.
 
     >>> phi_preimages(4).solutions
     (5, 8, 10, 12)
     """
-    if m < 1:
-        raise DomainError(f"target must be positive, got {m}")
-    if m == 1:
-        # x = 1 and x = 2 are the only solutions not built from prime blocks
-        return PreimageSet(1, "phi", (1, 2))
-    if m % 2:
-        return PreimageSet(m, "phi", ())
-    divs = arith.divisors(arith.factorize(m))
-    found = sorted(_phi_blocks_rec(m, None, divs))
-    return PreimageSet(m, "phi", tuple(found))
-
-
-def _phi_blocks_rec(rem: int, ceiling: int | None, divs: list[int]):
-    """Yield x with phi(x) == rem using primes strictly below ceiling.
-
-    Blocks p**a are chosen with strictly decreasing p across recursion
-    levels, so each solution appears exactly once.  divs holds the sorted
-    divisors of rem.
-    """
-    if rem == 1:
-        yield 1
-    for d in divs:
-        p = d + 1
-        if ceiling is not None and p >= ceiling:
-            break
-        if not arith.is_prime(p):
-            continue
-        block_phi = d  # phi(p**a) for a = 1, then grows by factors of p
-        block = p
-        while rem % block_phi == 0:
-            sub = rem // block_phi
-            sub_divs = [e for e in divs if sub % e == 0]
-            for tail in _phi_blocks_rec(sub, p, sub_divs):
-                yield block * tail
-            block_phi *= p
-            block *= p
+    return _preimages(m, "phi")
 
 
 def sigma_preimages(m: int) -> PreimageSet:
@@ -99,43 +178,14 @@ def sigma_preimages(m: int) -> PreimageSet:
     >>> sigma_preimages(12).solutions
     (6, 11)
     """
-    if m < 1:
-        raise DomainError(f"target must be positive, got {m}")
-    if m == 1:
-        return PreimageSet(1, "sigma", (1,))
-    divs = arith.divisors(arith.factorize(m))
-    found = sorted(_sigma_blocks_rec(m, None, divs))
-    return PreimageSet(m, "sigma", tuple(found))
-
-
-def _sigma_blocks_rec(rem: int, ceiling: int | None, divs: list[int]):
-    """Yield x with sigma(x) == rem using primes strictly below ceiling.
-
-    A block contributes a divisor d = sigma(pi**b) of rem; representations
-    are not unique (sigma(5**2) = sigma(2**4) = 31), so all of them are
-    tried.  The smallest usable block value is sigma(2) = 3.
-    """
-    if rem == 1:
-        yield 1
-        return
-    for d in divs:
-        if d < 3:
-            continue
-        for pi, b in arith.prime_power_sigma_all(d):
-            if ceiling is not None and pi >= ceiling:
-                continue
-            sub = rem // d
-            sub_divs = [e for e in divs if sub % e == 0]
-            for tail in _sigma_blocks_rec(sub, pi, sub_divs):
-                yield pi ** b * tail
+    return _preimages(m, "sigma")
 
 
 def multiplicity(m: int, map_kind: str) -> int:
-    """A(m) for map_kind phi, B(m) for map_kind sigma."""
+    """A(m) for map_kind phi, B(m) for map_kind sigma, counted without enumerating."""
     _check_kind(map_kind)
-    if map_kind == "phi":
-        return phi_preimages(m).multiplicity
-    return sigma_preimages(m).multiplicity
+    dp = _divisor_dp(m, map_kind)
+    return 0 if dp is None else dp.total
 
 
 def multiplicity_table(map_kind: str, m_bound: int,

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import phisigma.configs
+import phisigma.preimages
 from phisigma import cli
-from phisigma.configs import build_config, save_config
+from phisigma.configs import build_config, config_to_payload, save_config
 from phisigma.preimages import sigma_preimages
 
 SIGMA_R2_MATRIX = ((564089, 128339), (505493, 165383))
@@ -97,6 +98,61 @@ def test_natural_accepts_scientific(capsys):
     code, out, _ = run_main(capsys, "prime-pairs", "--k", "2", "--x", "1e2")
     assert code == 0
     assert json.loads(out)["x"] == 100
+
+
+
+def test_natural_parses_scientific_exactly(capsys):
+    # through float, 1e23 became 99999999999999991611392 (A = 55)
+    code, out, _ = run_main(capsys, "multiplicity", "phi", "1e23")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["target"] == 10 ** 23
+    assert payload["multiplicity"] == 15585
+    code, out, _ = run_main(capsys, "prime-pairs", "--k", "2", "--x", "1e6")
+    assert code == 0
+    assert json.loads(out)["x"] == 10 ** 6
+
+
+def test_natural_rejects_negative_and_fractional():
+    for args in (("inverse", "phi", "-4"),
+                 ("prime-pairs", "--k", "2", "--x", "-10"),
+                 ("multiplicity", "sigma", "2.5e0")):
+        with pytest.raises(SystemExit) as info:
+            cli.main(list(args))
+        assert info.value.code == 2
+
+
+def test_inverse_over_enumeration_capacity(capsys, monkeypatch):
+    monkeypatch.setattr(phisigma.preimages, "ENUM_CAPACITY", 3)
+    code, out, err = run_main(capsys, "inverse", "phi", "4")
+    assert code == 3
+    assert out == "" and "capacity" in err.lower()
+    code, out, _ = run_main(capsys, "multiplicity", "phi", "4")
+    assert code == 0 and json.loads(out)["multiplicity"] == 4
+
+
+def test_search_pool_below_floor_exit_code(capsys):
+    code, out, err = run_main(capsys, "search-config", "--lemma", "2", "--r", "40",
+                              "--pool", "1e4")
+    assert code == 2 and out == ""
+    assert "pool bound 10000 is below the 2^r floor 1099511627778" in err
+
+
+@pytest.mark.parametrize("command", ["verify-config", "certify"])
+@pytest.mark.parametrize("field,value", [("entry", 564089.0), ("entry", "128339"),
+                                         ("base_m", True)])
+def test_config_file_fields_must_be_integers(tmp_path, capsys, command, field, value):
+    if field == "base_m":
+        payload = config_to_payload(build_config([[11, 13], [17, 19]], "phi"))
+        payload["base_m"] = value
+    else:
+        payload = config_to_payload(build_config(SIGMA_R2_MATRIX, "sigma"))
+        payload["matrix"][0][0] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_main(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert "must be an integer" in err
 
 
 def test_verify_config_reports_failure_as_data(tmp_path, capsys):

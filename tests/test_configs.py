@@ -259,6 +259,33 @@ def test_payload_cross_checks():
         config_from_payload(payload)
 
 
+
+def test_payload_rejects_float_entry():
+    payload = config_to_payload(build_config(SIGMA_R2_MATRIX, "sigma"))
+    payload["matrix"][0][0] = 564089.0
+    with pytest.raises(DomainError, match="integer"):
+        config_from_payload(payload)
+
+
+def test_payload_rejects_string_entry():
+    payload = config_to_payload(build_config(SIGMA_R2_MATRIX, "sigma"))
+    payload["matrix"][0][1] = "128339"
+    with pytest.raises(DomainError, match="integer"):
+        config_from_payload(payload)
+
+
+def test_payload_rejects_bool_base_m():
+    payload = config_to_payload(build_config(PHI_R2_MATRIX, "phi"))
+    payload["base_m"] = True
+    with pytest.raises(DomainError, match="base_m"):
+        config_from_payload(payload)
+
+
+def test_search_pool_below_floor():
+    with pytest.raises(DomainError, match="below the 2\\^r floor"):
+        search_config("sigma", 40, 2, 10 ** 4, 100)
+
+
 def test_theorem2_trivial_rank():
     l, cert, stats = theorem2_search(2, 1)
     assert l == 1

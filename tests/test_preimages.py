@@ -5,6 +5,8 @@ from collections import defaultdict
 
 import pytest
 
+import phisigma.preimages
+from phisigma.arith import euler_phi, sigma
 from phisigma.errors import CapacityError, DomainError
 from phisigma.preimages import (
     minimal_m_with_multiplicity,
@@ -74,6 +76,45 @@ def test_sigma_enumeration_against_bucket_scan():
     for m in range(1, m_bound + 1):
         got = sigma_preimages(m)
         assert list(got.solutions) == buckets.get(m, []), m
+
+
+
+def test_count_matches_enumeration_and_table():
+    for kind, bound in (("phi", 300), ("sigma", 5000)):
+        table = multiplicity_table(kind, bound)
+        enumerate_fn = phi_preimages if kind == "phi" else sigma_preimages
+        for m in range(1, bound + 1):
+            count = multiplicity(m, kind)
+            assert count == len(enumerate_fn(m).solutions) == table[m], (kind, m)
+
+
+def test_count_matches_enumeration_on_smooth_targets():
+    shapes = [(a, b, c) for a in range(1, 16) for b in range(4) for c in range(3)
+              if (a + 1) * (b + 1) * (c + 1) * 4 <= 256]
+    for a, b, c in shapes:
+        m = 2 ** a * 3 ** b * 5 ** c * 7 * 11
+        for kind, fn in (("phi", euler_phi), ("sigma", sigma)):
+            sols = (phi_preimages if kind == "phi" else sigma_preimages)(m).solutions
+            assert multiplicity(m, kind) == len(sols), (kind, m)
+            assert all(fn(x) == m for x in sols), (kind, m)
+
+
+def test_frozen_counts_by_count_path():
+    # Values the full enumeration produced before the count path existed.
+    assert multiplicity(10 ** 23, "phi") == 15585
+    assert multiplicity(10 ** 23, "sigma") == 4665
+    assert multiplicity(2 ** 20 * 3 ** 5 * 5 * 7 * 11 * 13, "phi") == 1_447_687
+
+
+def test_enumeration_capacity_checked_first(monkeypatch):
+    monkeypatch.setattr(phisigma.preimages, "ENUM_CAPACITY", 3)
+    with pytest.raises(CapacityError):
+        phi_preimages(4)  # four solutions
+    with pytest.raises(CapacityError):
+        phi_preimages(2 ** 20 * 3 ** 5 * 5 * 7 * 11 * 13)  # 1,447,687 solutions
+    assert phi_preimages(2).solutions == (3, 4, 6)
+    assert sigma_preimages(12).solutions == (6, 11)
+    assert multiplicity(4, "phi") == 4  # counting is not capped
 
 
 def test_solutions_sorted_distinct():
