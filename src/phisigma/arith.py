@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 
 def _small_sieve(limit: int) -> list[int]:
@@ -121,7 +121,7 @@ def _pocklington_certified(n: int) -> bool:
             d = _find_nontrivial_factor(c)
             pending.extend((d, c // d))
     if (ffpart + 1) ** 2 <= n:
-        raise RuntimeError(f"could not assemble a large enough factored part for {n}")
+        raise CapacityError(f"could not assemble a large enough factored part for {n}")
     for q in found:
         for a in _SMALL_PRIMES:
             if pow(a, m, n) != 1:
@@ -130,7 +130,7 @@ def _pocklington_certified(n: int) -> bool:
             if math.gcd(u - 1, n) == 1:
                 break
         else:
-            raise RuntimeError(f"no Pocklington witness found for {n} at prime {q}")
+            raise CapacityError(f"no Pocklington witness found for {n} at prime {q}")
     return True
 
 
@@ -150,7 +150,7 @@ def _find_nontrivial_factor(n: int) -> int:
         if n % d == 0:
             return d
         d += 2
-    raise RuntimeError(f"failed to factor composite {n}")
+    raise CapacityError(f"failed to factor composite {n}")
 
 
 def _brent_rho(n: int, c: int, max_rounds: int = 1 << 19) -> int | None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class MultiplicityRecord:
     scan_bound: int
 
 
-def _prime_blocks(m: int, divs: list[int], map_kind: str) -> list[list[tuple[int, int]]]:
+def _prime_blocks(m: int, divs: tuple[int, ...], map_kind: str) -> list[list[tuple[int, int]]]:
     """Per prime pi, in ascending order, its blocks (value, pi**b) with value | m.
 
     phi: p = d+1 prime for a divisor d, values d * p**(a-1).  sigma: every
@@ -86,6 +87,13 @@ def _prime_blocks(m: int, divs: list[int], map_kind: str) -> list[list[tuple[int
     return [by_prime[p] for p in sorted(by_prime)]
 
 
+@lru_cache(maxsize=1 << 8)
+def _divisor_list(m: int) -> tuple[int, ...]:
+    """The divisors of m, ascending; enumeration and counting of one target
+    under both maps factor it once."""
+    return tuple(arith.divisors(arith.factorize(m)))
+
+
 class _DivisorDP:
     """0/1 knapsack over the divisors of m, one item group per prime.
 
@@ -100,7 +108,7 @@ class _DivisorDP:
     """
 
     def __init__(self, m: int, map_kind: str):
-        divs = arith.divisors(arith.factorize(m))
+        divs = _divisor_list(m)
         index = {d: k for k, d in enumerate(divs)}
         self.blocks = _prime_blocks(m, divs, map_kind)
         count = [0] * len(divs)
@@ -198,7 +206,6 @@ def multiplicity_table(map_kind: str, m_bound: int,
     _check_kind(map_kind)
     if m_bound < 1:
         raise DomainError(f"table bound must be positive, got {m_bound}")
-    counts = np.zeros(m_bound + 1, dtype=np.int64)
     if map_kind == "phi":
         x_max = 2 * m_bound * m_bound
         blocks = iter_phi_blocks(x_max)
@@ -209,26 +216,30 @@ def multiplicity_table(map_kind: str, m_bound: int,
         raise CapacityError(
             f"table for bound {m_bound} ({map_kind}) needs a scan to {x_max}, "
             f"over capacity {scan_capacity}")
-    for _, vals in blocks:
-        hits = vals[(vals >= 1) & (vals <= m_bound)]
-        counts += np.bincount(hits, minlength=m_bound + 1)
-    counts[0] = 0
-    return counts
+    # Each block keeps its in-range values and one bincount runs at the end:
+    # there are O(m_bound) such values in all (sigma(x) >= x, and on average
+    # m has fewer than two phi-preimages), and a bincount per cache-sized
+    # block would cost O(m_bound) each.
+    hits = [vals[vals <= m_bound] for _, vals in blocks]
+    return np.bincount(np.concatenate(hits), minlength=m_bound + 1)
 
 
 def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
                                 scan_capacity: int = SCAN_CAPACITY) -> MultiplicityRecord:
     """Smallest m <= scan_bound with multiplicity exactly k, by batch scan.
 
-    Grows the scanned prefix geometrically so small answers stay cheap; the
-    recomputation overhead is bounded by a constant factor.
+    Grows the scanned prefix of m geometrically, by a factor of 4, so small
+    answers stay cheap; the recomputation overhead is bounded by a constant
+    factor.  The sigma scan starts at m <= 4096 (x <= 4096).  The phi scan
+    starts at m <= 64, because its table must visit x <= 2*m**2: a first
+    bound of 4096 would scan 3.4e7 values even when the answer is m = 2.
     """
     if k < 0:
         raise DomainError(f"multiplicity must be nonnegative, got {k}")
     _check_kind(map_kind)
     if scan_bound < 1:
         raise DomainError(f"scan bound must be positive, got {scan_bound}")
-    bound = min(4096, scan_bound)
+    bound = min(64 if map_kind == "phi" else 4096, scan_bound)
     while True:
         counts = multiplicity_table(map_kind, bound, scan_capacity)
         hits = np.flatnonzero(counts[1:] == k)

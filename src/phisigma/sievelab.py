@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from . import arith
 from .errors import CapacityError, DomainError
-from .sieves import (DEFAULT_SPAN_CAPACITY, iter_phi_blocks, primes_upto,
-                     sieve_range, spf_table)
+from .sieves import (DEFAULT_SPAN_CAPACITY, _prime_flags, iter_phi_blocks,
+                     primes_upto, sieve_range, spf_table)
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class AlmostPrimeCount:
 def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeCount:
     """Exact count via a prime sieve on (x/2, x] and a smallest-factor table.
 
-    The factor-size test is exact: p > x**(num/den) iff p**den > x**num.
+    The factor-size test is exact: p > x**(num/den) iff p**den > x**num iff
+    p > iroot(x**num, den).
     """
     if a not in (1, -1):
         raise DomainError(f"shift must be +1 or -1, got {a}")
@@ -48,23 +50,15 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
     if x > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     spf = spf_table((x + 1) // 2)
-    num, den = alpha.numerator, alpha.denominator
-    x_pow = x ** num
-    count = 0
-    for s in sieve_range(x // 2 + 1, x):
-        u = (s - a) // 2
-        v = u
-        least = 0
-        distinct = 0
-        while v > 1:
-            p = int(spf[v])
-            if least == 0:
-                least = p
-            distinct += 1
-            while v % p == 0:
-                v //= p
-        if distinct >= 2 and least ** den > x_pow:
-            count += 1
+    u = (np.array(sieve_range(x // 2 + 1, x), dtype=np.int64) - a) // 2
+    least = spf[u]
+    keep = least > arith.iroot(x ** alpha.numerator, alpha.denominator)
+    v, least = u[keep], least[keep]
+    div = v % least == 0
+    while div.any():  # strip every power of the least prime
+        v = np.where(div, v // least, v)
+        div = v % least == 0
+    count = int(np.count_nonzero(v > 1))  # a second distinct prime remains
     ratio = count / (x / math.log(x) ** 2)
     ref = lemma3_reference_constant(alpha) if alpha == Fraction(1, 8) else None
     return AlmostPrimeCount(x, a, alpha, count, ratio, ref)
@@ -97,8 +91,7 @@ def count_prime_pairs(k: int, x: int) -> int:
         raise DomainError(f"need x > k, got x={x}, k={k}")
     if x > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    flags = np.zeros(x + 1, dtype=bool)
-    flags[primes_upto(x)] = True
+    flags = _prime_flags(x)
     return int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))
 
 
@@ -145,12 +138,10 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
         raise DomainError(f"prime cutoff must be at least 2, got {prime_cutoff}")
     if x > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    partials = []
-    for start, vals in iter_phi_blocks(x):
-        ks = np.arange(start, start + vals.size, dtype=np.float64)
-        terms = (ks / vals.astype(np.float64)) ** beta
-        partials.append(math.fsum(terms.tolist()))
-    total = math.fsum(partials)
+    terms = ((np.arange(start, start + vals.size, dtype=np.float64)
+              / vals.astype(np.float64)) ** beta
+             for start, vals in iter_phi_blocks(x))
+    total = math.fsum(chain.from_iterable(t.tolist() for t in terms))
     c_beta = 1.0
     for p in primes_upto(prime_cutoff).tolist():
         g = (p / (p - 1.0)) ** beta - 1.0

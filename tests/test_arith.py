@@ -6,6 +6,7 @@ import random
 import pytest
 import sympy
 
+from phisigma import arith
 from phisigma.arith import (
     PrimeFactorization,
     divisors,
@@ -18,6 +19,7 @@ from phisigma.arith import (
     sigma,
     sigma_prime_power,
 )
+from phisigma.errors import CapacityError
 
 
 def test_is_prime_small_exhaustive():
@@ -188,3 +190,13 @@ def test_prime_power_sigma_examples():
     assert prime_power_sigma_solve(13, 2) == (3, 2)
     assert prime_power_sigma_solve(8, 2) is None
     assert prime_power_sigma_all(31) == ((5, 2), (2, 4))
+
+
+def test_factoring_fallback_failure_is_capacity_error(monkeypatch):
+    # With rho switched off, a prime handed in as composite exhausts trial
+    # division; the failure is a CapacityError, still a RuntimeError.
+    monkeypatch.setattr(arith, "_brent_rho", lambda n, c: None)
+    with pytest.raises(CapacityError, match="failed to factor"):
+        arith._find_nontrivial_factor(1_000_003)
+    assert issubclass(CapacityError, RuntimeError)
+    assert arith._find_nontrivial_factor(1009 * 1013) in (1009, 1013)

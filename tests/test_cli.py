@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import phisigma.arith
 import phisigma.configs
 import phisigma.preimages
 from phisigma import cli
@@ -272,3 +273,17 @@ def test_repeated_runs_byte_identical():
     third = run_proc("lemma3-constant")
     fourth = run_proc("lemma3-constant")
     assert third == fourth
+
+
+def test_unfinished_primality_proof_exit_code(capsys, monkeypatch):
+    # n = 8r + 1 with r prime lies above the proven Miller-Rabin bound, so
+    # multiplicity(phi, n - 1) asks for a Pocklington proof of n.  With 2 as
+    # the only witness the proof cannot be completed: n = 1 (mod 8) makes 2
+    # a quadratic residue, so 2**((n-1)/2) = 1 (mod n).
+    r = 430000000000000000016111
+    n = 8 * r + 1
+    monkeypatch.setattr(phisigma.arith, "_SMALL_PRIMES", (2,))
+    code, out, err = run_main(capsys, "multiplicity", "phi", str(n - 1))
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error: no Pocklington witness")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

@@ -5,8 +5,9 @@ from collections import defaultdict
 
 import pytest
 
+import phisigma.arith
 import phisigma.preimages
-from phisigma.arith import euler_phi, sigma
+from phisigma.arith import divisors, euler_phi, sigma
 from phisigma.errors import CapacityError, DomainError
 from phisigma.preimages import (
     minimal_m_with_multiplicity,
@@ -163,3 +164,39 @@ def test_minimal_m_rejects_bad_arguments():
         minimal_m_with_multiplicity(-1, "phi", 100)
     with pytest.raises(DomainError):
         minimal_m_with_multiplicity(2, "phi", 0)
+
+
+def test_minimal_m_phi_starts_small(monkeypatch):
+    bounds = []
+    real = phisigma.preimages.multiplicity_table
+
+    def counted(map_kind, m_bound, *args):
+        bounds.append(m_bound)
+        return real(map_kind, m_bound, *args)
+
+    monkeypatch.setattr(phisigma.preimages, "multiplicity_table", counted)
+    rec = minimal_m_with_multiplicity(3, "phi", 5000)
+    assert rec.minimal_m == 2 and rec.scan_bound == 5000
+    assert bounds == [64]  # one table, scanning x <= 8192
+
+
+def test_minimal_m_phi_equals_full_table_scan():
+    table = multiplicity_table("phi", 1420)
+    for k in range(14):
+        hits = [m for m in range(1, 1421) if table[m] == k]
+        want = hits[0] if hits else None
+        assert minimal_m_with_multiplicity(k, "phi", 1420).minimal_m == want, k
+
+
+def test_one_factorization_per_target(monkeypatch):
+    calls = []
+    real = phisigma.arith.factorize
+    monkeypatch.setattr(phisigma.arith, "factorize", lambda n: calls.append(n) or real(n))
+    phisigma.preimages._divisor_list.cache_clear()
+    m = 2 ** 6 * 3 ** 3 * 5 * 7
+    phi_preimages(m)
+    sigma_preimages(m)
+    assert multiplicity(m, "phi") == len(phi_preimages(m).solutions)
+    assert multiplicity(m, "sigma") == len(sigma_preimages(m).solutions)
+    assert calls == [m]
+    assert phisigma.preimages._divisor_list(m) == tuple(divisors(m))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -14,7 +15,8 @@ from phisigma.sievelab import (
     lemma3_reference_constant,
     ratio_power_sum,
 )
-from phisigma.sieves import DEFAULT_SPAN_CAPACITY, phi_table
+from phisigma.sieves import (DEFAULT_SPAN_CAPACITY, phi_table, primes_upto,
+                              sieve_range, spf_table)
 
 
 def _naive_shifted_count(x, alpha, a):
@@ -154,3 +156,60 @@ def test_ratio_power_sum_domain_errors():
         ratio_power_sum(1.0, 0)
     with pytest.raises(DomainError):
         ratio_power_sum(1.0, 100, prime_cutoff=1)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
+def test_ratio_power_sum_is_one_fsum_of_the_terms(beta):
+    # The same float expression on one dense array: numpy's elementwise
+    # results do not depend on how the range is cut into blocks.
+    x = 300000
+    ks = np.arange(1, x + 1, dtype=np.float64)
+    terms = (ks / phi_table(x)[1:].astype(np.float64)) ** beta
+    assert ratio_power_sum(beta, x).sum == math.fsum(terms.tolist())
+
+
+def _loop_shifted_count(x, alpha, a):
+    """The per-prime loop over the smallest-factor table, as an oracle."""
+    spf = spf_table((x + 1) // 2)
+    num, den = alpha.numerator, alpha.denominator
+    x_pow = x ** num
+    count = 0
+    for s in sieve_range(x // 2 + 1, x):
+        u = (s - a) // 2
+        v = u
+        least = 0
+        distinct = 0
+        while v > 1:
+            p = int(spf[v])
+            if least == 0:
+                least = p
+            distinct += 1
+            while v % p == 0:
+                v //= p
+        if distinct >= 2 and least ** den > x_pow:
+            count += 1
+    return count
+
+
+def test_shifted_count_against_loop_every_x():
+    for alpha in (Fraction(1, 8), Fraction(1, 3)):
+        for a in (1, -1):
+            for x in range(16, 3001):
+                got = count_shifted_almost_primes(x, alpha, a).count
+                assert got == _loop_shifted_count(x, alpha, a), (x, a, alpha)
+
+
+def test_shifted_count_against_loop_large_x():
+    for x in (10 ** 5, 3 * 10 ** 5 + 7):
+        for a in (1, -1):
+            for alpha in (Fraction(1, 8), Fraction(2, 5)):
+                got = count_shifted_almost_primes(x, alpha, a).count
+                assert got == _loop_shifted_count(x, alpha, a), (x, a, alpha)
+
+
+def test_prime_pairs_against_primes_upto():
+    x = 200003
+    flags = np.zeros(x + 1, dtype=bool)
+    flags[primes_upto(x)] = True
+    for k in (2, 4, 6, 30, 210):
+        assert count_prime_pairs(k, x) == int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))

@@ -8,8 +8,11 @@ import sympy
 
 from phisigma.arith import euler_phi, is_prime, sigma
 from phisigma.errors import CapacityError
+from phisigma.preimages import multiplicity_table
 from phisigma.sieves import (
+    BLOCK_PER_BASE_PRIME,
     DEFAULT_SPAN_CAPACITY,
+    VALUE_BLOCK,
     iter_phi_blocks,
     iter_sigma_blocks,
     phi_table,
@@ -96,3 +99,73 @@ def test_blocks_near_zero_start():
         assert vals[0] == 1
     for start, vals in iter_phi_blocks(64, lo=1, block=64):
         assert vals[0] == 1
+
+
+def _windows_around_prime_powers():
+    # starts at 0 and 1, and starts just below, at and just above a prime
+    # power, so its strides begin on, just after or just before entry 0
+    windows = [(0, 200), (1, 200)]
+    for q in (2 ** 10, 3 ** 6, 7 ** 4, 31 ** 2):
+        windows += [(q - 3, q + 120), (q, q + 120), (q + 1, q + 120)]
+    return windows
+
+
+def _block_values(blocks):
+    starts, vals = [], []
+    for start, block in blocks:
+        starts.append(start)
+        vals.extend(block.tolist())
+    return starts, vals
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_value_blocks_match_pointwise(block):
+    for lo, hi in _windows_around_prime_powers():
+        for it, ref in ((iter_phi_blocks, euler_phi), (iter_sigma_blocks, sigma)):
+            starts, vals = _block_values(it(hi, lo=lo, block=block))
+            assert starts == list(range(lo, hi + 1, block))
+            assert vals == [ref(x) if x else 0 for x in range(lo, hi + 1)], (it, lo, block)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, 4096])
+def test_value_blocks_above_1e9(block):
+    # 2**30 and 3**19 lie in the windows; 31657**2 = 1002165649 does too
+    width = 40 if block < 64 else 3000
+    for centre in (2 ** 30, 3 ** 19, 31657 ** 2):
+        lo, hi = centre - width // 2, centre + width // 2
+        for it, ref in ((iter_phi_blocks, euler_phi), (iter_sigma_blocks, sigma)):
+            _, vals = _block_values(it(hi, lo=lo, block=block))
+            assert vals == [ref(x) for x in range(lo, hi + 1)], (it, centre, block)
+
+
+def test_default_value_block_sizes():
+    assert [len(v) for _, v in iter_sigma_blocks(3 * VALUE_BLOCK)] == [
+        VALUE_BLOCK, VALUE_BLOCK, VALUE_BLOCK]
+    # far from 0 a block spans at least BLOCK_PER_BASE_PRIME entries per
+    # base prime: near 10**12 that is more than this whole window
+    lo, width = 10 ** 12, 3 * VALUE_BLOCK
+    assert BLOCK_PER_BASE_PRIME * primes_upto(10 ** 6).size > width
+    (start, vals), = iter_phi_blocks(lo + width - 1, lo=lo)
+    assert start == lo and vals.size == width
+
+
+def _table_by_block_bincounts(kind, m_bound):
+    """The per-block bincount formulation: one full-length bincount per block."""
+    counts = np.zeros(m_bound + 1, dtype=np.int64)
+    if kind == "phi":
+        blocks = iter_phi_blocks(2 * m_bound * m_bound, block=4096)
+    else:
+        blocks = iter_sigma_blocks(m_bound, block=4096)
+    for _, vals in blocks:
+        hits = vals[(vals >= 1) & (vals <= m_bound)]
+        counts += np.bincount(hits, minlength=m_bound + 1)
+    return counts
+
+
+def test_multiplicity_table_matches_block_bincounts():
+    for kind, bounds in (("phi", (1, 2, 37, 300, 1000)), ("sigma", (1, 2, 1000, 300000))):
+        for m_bound in bounds:
+            got = multiplicity_table(kind, m_bound)
+            want = _table_by_block_bincounts(kind, m_bound)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (kind, m_bound)
