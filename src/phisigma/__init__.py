@@ -1,6 +1,13 @@
 """Preimages of Euler's phi and the divisor sum sigma, multiplicity-forcing
 prime configurations with exhaustive certification, and desk-scale sieve
-counting experiments."""
+counting experiments.
+
+The numpy-backed modules, sieves and sievelab, and the names they export
+are resolved on first access (PEP 562), so importing the package does not
+load numpy.
+"""
+
+from importlib import import_module as _import_module
 
 from .arith import (PrimeFactorization, divisors, euler_phi, factorize, iroot,
                     is_prime, prime_power_sigma_all, prime_power_sigma_solve,
@@ -15,10 +22,29 @@ from .errors import CapacityError, CertificationError, DomainError
 from .preimages import (MultiplicityRecord, PreimageSet,
                         minimal_m_with_multiplicity, multiplicity,
                         multiplicity_table, phi_preimages, sigma_preimages)
-from .sievelab import (AlmostPrimeCount, RatioSumReport,
-                       count_prime_pairs, count_shifted_almost_primes,
-                       l_value, lemma3_reference_constant, ratio_power_sum)
-from .sieves import (iter_phi_blocks, iter_sigma_blocks, phi_table,
-                     primes_upto, sieve_range, sigma_table, spf_table)
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "sievelab": ("AlmostPrimeCount", "RatioSumReport", "count_prime_pairs",
+                 "count_shifted_almost_primes", "l_value",
+                 "lemma3_reference_constant", "ratio_power_sum"),
+    "sieves": ("iter_phi_blocks", "iter_sigma_blocks", "phi_table",
+               "primes_upto", "sieve_range", "sigma_table", "spf_table"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return _import_module(f"{__name__}.{name}")  # also binds it here
+    if name in _LAZY_HOME:
+        return getattr(__getattr__(_LAZY_HOME[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]

@@ -4,7 +4,8 @@ Everything here is deterministic.  Primality testing uses Miller-Rabin with
 witness sets that are proven complete below known thresholds; above the
 largest threshold a Pocklington n-1 proof is constructed instead of
 accepting a probabilistic answer.  Factorization uses trial division and
-Brent's rho with a deterministic trial-division fallback.
+Brent's rho with a deterministic trial-division fallback, which refuses
+(CapacityError) a cofactor above TRIAL_DIVISION_CEILING.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ def _small_sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = tuple(_small_sieve(1000))
 _TRIAL_PRIMES = tuple(p for p in _SMALL_PRIMES if p < 100)
+# Largest n the trial-division fallback of the factorizer takes on: dividing
+# up to its square root, 2**22, takes well under a second.
+TRIAL_DIVISION_CEILING = 1 << 44
 
 # Deterministic witness sets, each complete below its threshold.
 _MR_TIERS = (
@@ -144,7 +148,11 @@ def _find_nontrivial_factor(n: int) -> int:
         f = _brent_rho(n, c)
         if f is not None and 1 < f < n:
             return f
-    # unconditional fallback; slow but deterministic
+    # deterministic fallback, bounded so that it cannot run for hours
+    if n > TRIAL_DIVISION_CEILING:
+        raise CapacityError(
+            f"failed to factor composite {n}: rho found no factor and trial division "
+            f"stops at {TRIAL_DIVISION_CEILING}")
     d = 101
     while d * d <= n:
         if n % d == 0:

@@ -4,19 +4,25 @@ Exit codes: 0 success (including "absent" search results), 2 invalid
 input, 3 capacity exceeded, 4 certification failure.  Output is JSON
 objects (one per line for row streams) or CSV with a header row; payloads
 carry no timestamps, so identical invocations produce identical bytes.
+
+No module imported here loads numpy at import time, so only the commands
+that sieve or build tables pay for it; inverse, multiplicity, verify-config,
+certify, l-value, lemma3-constant and --help never load it.  Row streams
+are written ROW_CHUNK rows at a time, each chunk rendered with one join, so
+memory stays bounded however long the table is.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-
-import numpy as np
+from functools import partial
 
 from . import configs, preimages, sievelab
 from .errors import CapacityError, CertificationError, DomainError
@@ -25,6 +31,8 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_CERTIFICATION = 4
+
+ROW_CHUNK = 1 << 16  # rows per write of a streamed table
 
 
 _NATURAL = re.compile(r"[0-9]+(\.[0-9]+)?([eE][0-9]+)?")
@@ -92,16 +100,41 @@ def _emit_record(payload: dict, fmt: str, out) -> None:
         writer.writerow([_cell(payload[k]) for k in keys])
 
 
-def _emit_rows(rows, fieldnames, fmt: str, out) -> None:
-    """Stream row dicts; rows may be a generator."""
+def _row_ranges(lo: int, hi: int):
+    """lo..hi inclusive, as consecutive ranges of at most ROW_CHUNK values."""
+    return (range(a, min(a + ROW_CHUNK, hi + 1)) for a in range(lo, hi + 1, ROW_CHUNK))
+
+
+def _emit_rows(chunks, fieldnames, fmt: str, out) -> None:
+    """Stream a table given as chunks of columns, one sequence per field in
+    fieldnames order, each chunk rendered with one join and written at once.
+
+    Bytes match one json.dumps(row, sort_keys=True) line per row, or
+    csv.writer rows of _cell values under a header.  A column of plain ints
+    is formatted as is; any other column goes through json.dumps or _cell.
+    """
     if fmt == "json":
-        for row in rows:
-            out.write(json.dumps(row, sort_keys=True) + "\n")
+        order = sorted(range(len(fieldnames)), key=fieldnames.__getitem__)
+        template = "{{" + ", ".join(f"{json.dumps(fieldnames[i])}: {{{i}}}" for i in order) + "}}\n"
+        cell = partial(json.dumps, sort_keys=True)
+
+        def render(columns):
+            return "".join(map(template.format, *columns))
     else:
-        writer = csv.writer(out)
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_cell(row[k]) for k in fieldnames])
+        out.write(_csv_text([fieldnames]))
+        cell = _cell
+
+        def render(columns):
+            return _csv_text(zip(*columns))
+    for columns in chunks:
+        out.write(render([col if set(map(type, col)) <= {int} else list(map(cell, col))
+                          for col in columns]))
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
 
 
 def _fraction_str(value: Fraction) -> str:
@@ -201,19 +234,15 @@ def _cmd_table(args) -> int:
     counts = preimages.multiplicity_table(args.map, args.bound,
                                           scan_capacity=args.capacity)
     if args.k is None:
-        rows = ({"m": m, "multiplicity": int(counts[m])}
-                for m in range(1, args.bound + 1))
-        _emit_rows(rows, ["m", "multiplicity"], args.format, sys.stdout)
+        fields = ("m", "multiplicity")
+        chunks = ((ms, counts[ms.start:ms.stop].tolist())
+                  for ms in _row_ranges(1, args.bound))
     else:
-        lo, hi = args.k
-
-        def rows():
-            for k in range(lo, hi + 1):
-                hits = np.flatnonzero(counts[1:] == k)
-                minimal = int(hits[0]) + 1 if hits.size else None
-                yield {"k": k, "minimal_m": minimal, "scan_bound": args.bound}
-
-        _emit_rows(rows(), ["k", "minimal_m", "scan_bound"], args.format, sys.stdout)
+        fields = ("k", "minimal_m", "scan_bound")
+        chunks = ((ks, [preimages.minimal_m_in_table(counts, k) for k in ks],
+                   [args.bound] * len(ks))
+                  for ks in _row_ranges(*args.k))
+    _emit_rows(chunks, fields, args.format, sys.stdout)
     return EXIT_OK
 
 

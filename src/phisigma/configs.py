@@ -27,7 +27,6 @@ from math import prod
 from . import arith
 from .errors import CertificationError, DomainError
 from .preimages import PreimageSet, multiplicity, phi_preimages, sigma_preimages
-from .sieves import sieve_range
 
 KINDS = ("phi", "sigma")
 DEFAULT_BUDGET = 200_000
@@ -391,6 +390,8 @@ def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
         raise DomainError(
             f"pool bound {pool_bound} is below the 2^r floor {lower + 1}: matrix primes "
             f"must exceed 2^{r} * base_m + 1 = {lower}")
+    from .sieves import sieve_range  # numpy loads only for a search
+
     sign = _form_sign(kind)
     pool = sieve_range(lower + 1, pool_bound)
     stats = SearchStats()

@@ -12,9 +12,11 @@ count against ENUM_CAPACITY before any solution is built, then backtrack
 from m through states with a nonzero count only, so no branch is explored
 that leads to no solution.
 
-Whole-range multiplicity counting runs on the segmented batch sieves
-instead.  Brute-force scan bounds used throughout: phi(x) >= sqrt(x/2)
-caps phi-preimages of m at 2m**2, sigma(x) >= x caps sigma-preimages at m.
+Whole-range multiplicity counting runs on the segmented numpy sieves
+instead; multiplicity_table() imports them when it runs, so the per-target
+paths never load numpy.  Brute-force scan bounds used throughout:
+phi(x) >= sqrt(x/2) caps phi-preimages of m at 2m**2, sigma(x) >= x caps
+sigma-preimages at m.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import arith
 from .errors import CapacityError, DomainError
-from .sieves import iter_phi_blocks, iter_sigma_blocks
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SCAN_CAPACITY = 2 * 10 ** 8  # most x-values a single table request may visit
 ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may build
@@ -203,6 +206,10 @@ def multiplicity_table(map_kind: str, m_bound: int,
     The phi table must scan x <= 2*m_bound**2 and the sigma table x <= m_bound,
     so the phi variant hits the capacity ceiling much earlier.
     """
+    import numpy as np
+
+    from .sieves import iter_phi_blocks, iter_sigma_blocks
+
     _check_kind(map_kind)
     if m_bound < 1:
         raise DomainError(f"table bound must be positive, got {m_bound}")
@@ -224,6 +231,13 @@ def multiplicity_table(map_kind: str, m_bound: int,
     return np.bincount(np.concatenate(hits), minlength=m_bound + 1)
 
 
+def minimal_m_in_table(counts: np.ndarray, k: int) -> int | None:
+    """Smallest m >= 1 with counts[m] == k in a multiplicity_table() result, or None."""
+    hit = counts[1:] == k
+    first = int(hit.argmax())  # argmax of a bool array is its first True
+    return first + 1 if hit[first] else None
+
+
 def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
                                 scan_capacity: int = SCAN_CAPACITY) -> MultiplicityRecord:
     """Smallest m <= scan_bound with multiplicity exactly k, by batch scan.
@@ -241,10 +255,9 @@ def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
         raise DomainError(f"scan bound must be positive, got {scan_bound}")
     bound = min(64 if map_kind == "phi" else 4096, scan_bound)
     while True:
-        counts = multiplicity_table(map_kind, bound, scan_capacity)
-        hits = np.flatnonzero(counts[1:] == k)
-        if hits.size:
-            return MultiplicityRecord(k, map_kind, int(hits[0]) + 1, scan_bound)
+        minimal = minimal_m_in_table(multiplicity_table(map_kind, bound, scan_capacity), k)
+        if minimal is not None:
+            return MultiplicityRecord(k, map_kind, minimal, scan_bound)
         if bound == scan_bound:
             return MultiplicityRecord(k, map_kind, None, scan_bound)
         bound = min(bound * 4, scan_bound)

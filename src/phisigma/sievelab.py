@@ -3,7 +3,8 @@ pair-difference products, and ratio power sums with their Euler-product
 constants.
 
 Counts are exact; only the normalization ratios and the truncated constant
-c(beta) are floating point.
+c(beta) are floating point.  The array functions import numpy and the sieves
+when they run, so l_value and lemma3_reference_constant stay pure Python.
 """
 
 from __future__ import annotations
@@ -13,12 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 from . import arith
 from .errors import CapacityError, DomainError
-from .sieves import (DEFAULT_SPAN_CAPACITY, _prime_flags, iter_phi_blocks,
-                     primes_upto, sieve_range, spf_table)
 
 
 @dataclass(frozen=True)
@@ -40,6 +37,10 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
     The factor-size test is exact: p > x**(num/den) iff p**den > x**num iff
     p > iroot(x**num, den).
     """
+    import numpy as np
+
+    from .sieves import DEFAULT_SPAN_CAPACITY, sieve_range, spf_table
+
     if a not in (1, -1):
         raise DomainError(f"shift must be +1 or -1, got {a}")
     if x < 16:
@@ -85,6 +86,10 @@ def count_prime_pairs(k: int, x: int) -> int:
     >>> count_prime_pairs(2, 10)
     2
     """
+    import numpy as np
+
+    from .sieves import DEFAULT_SPAN_CAPACITY, _prime_flags
+
     if k < 2 or k % 2:
         raise DomainError(f"pair gap must be an even integer >= 2, got {k}")
     if x <= k:
@@ -130,6 +135,10 @@ class RatioSumReport:
 def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSumReport:
     """Compensated-sum the ratio powers by batch phi; compute the truncated
     product over primes <= prime_cutoff and a rigorous tail factor."""
+    import numpy as np
+
+    from .sieves import DEFAULT_SPAN_CAPACITY, iter_phi_blocks, primes_upto
+
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
     if x < 1:

@@ -200,3 +200,15 @@ def test_factoring_fallback_failure_is_capacity_error(monkeypatch):
         arith._find_nontrivial_factor(1_000_003)
     assert issubclass(CapacityError, RuntimeError)
     assert arith._find_nontrivial_factor(1009 * 1013) in (1009, 1013)
+
+
+def test_trial_division_fallback_ceiling(monkeypatch):
+    # The ceiling is checked before trial division starts, so a semiprime far
+    # out of trial-division reach fails at once instead of running for hours.
+    monkeypatch.setattr(arith, "_brent_rho", lambda n, c: None)
+    with pytest.raises(CapacityError, match="^failed to factor"):
+        arith._find_nontrivial_factor((2 ** 61 - 1) * (2 ** 89 - 1))
+    monkeypatch.setattr(arith, "TRIAL_DIVISION_CEILING", 10 ** 6)
+    assert arith._find_nontrivial_factor(991 * 1009) == 991  # 999,919: below it
+    with pytest.raises(CapacityError, match="^failed to factor"):
+        arith._find_nontrivial_factor(1009 * 1013)  # 1,022,117: above it

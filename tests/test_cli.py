@@ -1,5 +1,7 @@
 """Command-line surface: payloads, formats, and the exit-code contract."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -11,7 +13,7 @@ import phisigma.configs
 import phisigma.preimages
 from phisigma import cli
 from phisigma.configs import build_config, config_to_payload, save_config
-from phisigma.preimages import sigma_preimages
+from phisigma.preimages import multiplicity_table, sigma_preimages
 
 SIGMA_R2_MATRIX = ((564089, 128339), (505493, 165383))
 
@@ -287,3 +289,125 @@ def test_unfinished_primality_proof_exit_code(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err.startswith("capacity error: no Pocklington witness")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_trial_division_ceiling_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(phisigma.arith, "_brent_rho", lambda n, c: None)
+    monkeypatch.setattr(phisigma.arith, "TRIAL_DIVISION_CEILING", 10 ** 6)
+    code, out, err = run_main(capsys, "multiplicity", "sigma", str(2 * 1009 * 1013))
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error: failed to factor")
+
+
+def _old_rows(rows, fieldnames, fmt):
+    """One json.dumps(row, sort_keys=True) line per row, or csv.writer rows of
+    _cell values under a header."""
+    if fmt == "json":
+        return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([cli._cell(row[k]) for k in fieldnames])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bound", [1, 4, 5])
+def test_table_rows_byte_identical(capsys, monkeypatch, fmt, bound):
+    monkeypatch.setattr(cli, "ROW_CHUNK", 4)  # bound 5 crosses a chunk boundary
+    code, out, _ = run_main(capsys, "table", "--map", "sigma", "--bound", str(bound),
+                            "--format", fmt)
+    assert code == 0
+    counts = multiplicity_table("sigma", bound)
+    rows = [{"m": m, "multiplicity": int(counts[m])} for m in range(1, bound + 1)]
+    assert out == _old_rows(rows, ["m", "multiplicity"], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_k_rows_byte_identical(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli, "ROW_CHUNK", 4)
+    code, out, _ = run_main(capsys, "table", "--map", "phi", "--k", "0..9",
+                            "--bound", "30", "--format", fmt)
+    assert code == 0
+    counts = multiplicity_table("phi", 30)
+    rows = []
+    for k in range(10):
+        hits = [m for m in range(1, 31) if counts[m] == k]
+        rows.append({"k": k, "minimal_m": hits[0] if hits else None, "scan_bound": 30})
+    assert any(row["minimal_m"] is None for row in rows)
+    assert out == _old_rows(rows, ["k", "minimal_m", "scan_bound"], fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_row_writer_non_int_cells(fmt):
+    # Cells the tables do not produce today still follow the per-row rules:
+    # bool, float, None, lists, dicts and strings that csv must quote.
+    fields = ["z", "a", "b"]
+    rows = [{"z": 1, "a": True, "b": None},
+            {"z": 2, "a": 0.5, "b": [1, 2]},
+            {"z": 3, "a": 'say "hi", twice', "b": {"y": 1, "x": False}}]
+    columns = [[row[f] for row in rows] for f in fields]
+    chunks = [[col[lo:lo + 2] for col in columns] for lo in (0, 2)]
+    out = io.StringIO()
+    cli._emit_rows(chunks, fields, fmt, out)
+    assert out.getvalue() == _old_rows(rows, fields, fmt)
+
+
+# Every public name the package exported when all its modules were imported
+# eagerly, by defining module.
+PUBLIC_NAMES = {
+    "arith": ["PrimeFactorization", "divisors", "euler_phi", "factorize", "iroot",
+              "is_prime", "prime_power_sigma_all", "prime_power_sigma_solve",
+              "sigma", "sigma_prime_power"],
+    "configs": ["Certificate", "PrimeConfig", "SearchStats", "VerificationReport",
+                "build_config", "certify", "check_condition_i", "check_condition_ii",
+                "check_condition_iii", "condition_index_set", "corollary3_plan",
+                "count_matchings", "enumerate_matchings", "load_config",
+                "save_config", "search_config", "theorem2_search", "verify"],
+    "errors": ["CapacityError", "CertificationError", "DomainError"],
+    "preimages": ["MultiplicityRecord", "PreimageSet", "minimal_m_with_multiplicity",
+                  "multiplicity", "multiplicity_table", "phi_preimages",
+                  "sigma_preimages"],
+    "sievelab": ["AlmostPrimeCount", "RatioSumReport", "count_prime_pairs",
+                 "count_shifted_almost_primes", "l_value",
+                 "lemma3_reference_constant", "ratio_power_sum"],
+    "sieves": ["iter_phi_blocks", "iter_sigma_blocks", "phi_table", "primes_upto",
+               "sieve_range", "sigma_table", "spf_table"],
+}
+
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from phisigma import cli
+runs = [["inverse", "phi", "4"], ["inverse", "sigma", "12"],
+        ["multiplicity", "sigma", "12"], ["verify-config", CFG], ["certify", CFG],
+        ["l-value", "3", "5", "7"], ["lemma3-constant"], ["--help"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in runs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, argv
+assert "numpy" not in sys.modules, "numpy was loaded"
+"""
+
+
+def test_numpy_free_commands_and_public_names(tmp_path):
+    import phisigma
+
+    path = tmp_path / "cfg.json"
+    save_config(build_config(SIGMA_R2_MATRIX, "sigma"), str(path))
+    script = f"CFG = {str(path)!r}\n" + NUMPY_FREE_SCRIPT
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+    star: dict = {}
+    exec("from phisigma import *", star)
+    for module, names in PUBLIC_NAMES.items():
+        mod = getattr(phisigma, module)
+        assert mod is sys.modules[f"phisigma.{module}"]
+        for name in names:
+            assert getattr(phisigma, name) is getattr(mod, name), name
+            assert star[name] is getattr(mod, name), name
+            assert name in dir(phisigma)
