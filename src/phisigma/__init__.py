@@ -2,9 +2,10 @@
 prime configurations with exhaustive certification, and desk-scale sieve
 counting experiments.
 
-The numpy-backed modules, sieves and sievelab, and the names they export
-are resolved on first access (PEP 562), so importing the package does not
-load numpy.
+The numpy-backed modules, sieves and sievelab, and configs, which only the
+configuration commands need, are resolved with the names they export on
+first access (PEP 562), so importing the package loads neither numpy nor
+the configuration code.
 """
 
 from importlib import import_module as _import_module
@@ -12,12 +13,6 @@ from importlib import import_module as _import_module
 from .arith import (PrimeFactorization, divisors, euler_phi, factorize, iroot,
                     is_prime, prime_power_sigma_all, prime_power_sigma_solve,
                     sigma, sigma_prime_power)
-from .configs import (Certificate, PrimeConfig, SearchStats, VerificationReport,
-                      build_config, certify, check_condition_i,
-                      check_condition_ii, check_condition_iii,
-                      condition_index_set, corollary3_plan, count_matchings,
-                      enumerate_matchings, load_config, save_config,
-                      search_config, theorem2_search, verify)
 from .errors import CapacityError, CertificationError, DomainError
 from .preimages import (MultiplicityRecord, PreimageSet,
                         minimal_m_with_multiplicity, multiplicity,
@@ -26,6 +21,12 @@ from .preimages import (MultiplicityRecord, PreimageSet,
 __version__ = "0.1.0"
 
 _LAZY = {
+    "configs": ("Certificate", "PrimeConfig", "SearchStats", "VerificationReport",
+                "build_config", "certify", "check_condition_i",
+                "check_condition_ii", "check_condition_iii",
+                "condition_index_set", "corollary3_plan", "count_matchings",
+                "enumerate_matchings", "load_config", "save_config",
+                "search_config", "theorem2_search", "verify"),
     "sievelab": ("AlmostPrimeCount", "RatioSumReport", "count_prime_pairs",
                  "count_shifted_almost_primes", "l_value",
                  "lemma3_reference_constant", "ratio_power_sum"),

@@ -7,9 +7,10 @@ carry no timestamps, so identical invocations produce identical bytes.
 
 No module imported here loads numpy at import time, so only the commands
 that sieve or build tables pay for it; inverse, multiplicity, verify-config,
-certify, l-value, lemma3-constant and --help never load it.  Row streams
-are written ROW_CHUNK rows at a time, each chunk rendered with one join, so
-memory stays bounded however long the table is.
+certify, l-value, lemma3-constant and --help never load it.  Likewise the
+configs module loads only in the commands that use configurations or plans.
+Row streams are written ROW_CHUNK rows at a time, each chunk rendered with
+one join, so memory stays bounded however long the table is.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
-from . import configs, preimages, sievelab
+from . import preimages, sievelab
 from .errors import CapacityError, CertificationError, DomainError
 
 EXIT_OK = 0
@@ -202,6 +203,8 @@ def _stats_payload(stats) -> dict:
 
 
 def _certificate_payload(cert) -> dict:
+    from . import configs
+
     return {
         "config": configs.config_to_payload(cert.config) if cert.config else None,
         "target": cert.target,
@@ -238,8 +241,9 @@ def _cmd_table(args) -> int:
         chunks = ((ms, counts[ms.start:ms.stop].tolist())
                   for ms in _row_ranges(1, args.bound))
     else:
+        first = preimages.minimal_m_by_multiplicity(counts)
         fields = ("k", "minimal_m", "scan_bound")
-        chunks = ((ks, [preimages.minimal_m_in_table(counts, k) for k in ks],
+        chunks = ((ks, [first[k] if k < len(first) else None for k in ks],
                    [args.bound] * len(ks))
                   for ks in _row_ranges(*args.k))
     _emit_rows(chunks, fields, args.format, sys.stdout)
@@ -261,6 +265,8 @@ def _cmd_min_m(args) -> int:
 
 
 def _cmd_verify_config(args) -> int:
+    from . import configs
+
     cfg = configs.load_config(args.file)
     report = configs.verify(cfg)
     _emit_record({
@@ -272,10 +278,12 @@ def _cmd_verify_config(args) -> int:
 
 
 def _cmd_search_config(args) -> int:
+    from . import configs
+
     kind = "phi" if args.lemma == "1" else "sigma"
-    cfg, stats = configs.search_config(kind, args.r, args.n, args.pool,
-                                       args.budget, seed=args.seed,
-                                       base_m=args.base_m)
+    budget = configs.DEFAULT_BUDGET if args.budget is None else args.budget
+    cfg, stats = configs.search_config(kind, args.r, args.n, args.pool, budget,
+                                       seed=args.seed, base_m=args.base_m)
     payload = {"command": "search-config", "found": cfg is not None,
                "stats": _stats_payload(stats)}
     if cfg is not None:
@@ -288,6 +296,8 @@ def _cmd_search_config(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from . import configs
+
     cfg = configs.load_config(args.file)
     cert = configs.certify(cfg)
     _emit_record({"command": "certify", **_certificate_payload(cert)},
@@ -296,9 +306,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_theorem2(args) -> int:
+    from . import configs
+
+    budget = configs.DEFAULT_BUDGET if args.budget is None else args.budget
     l, cert, stats = configs.theorem2_search(args.m, args.r, n=args.n,
                                              pool_bound=args.pool,
-                                             budget=args.budget, seed=args.seed)
+                                             budget=budget, seed=args.seed)
     payload = {"command": "theorem2", "base_m": args.m, "r": args.r,
                "found": l is not None, "stats": _stats_payload(stats)}
     if l is not None:
@@ -309,6 +322,8 @@ def _cmd_theorem2(args) -> int:
 
 
 def _cmd_corollary3_plan(args) -> int:
+    from . import configs
+
     plan = configs.corollary3_plan(args.k, table_bound=args.bound)
     _emit_record({
         "command": "corollary3-plan",
@@ -423,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_natural, default=2)
     p.add_argument("--pool", type=_natural, required=True)
     p.add_argument("--base-m", type=_natural, default=1)
-    p.add_argument("--budget", type=_natural, default=configs.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_natural, default=None)  # configs.DEFAULT_BUDGET
     p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--out", default=None, help="write the found config to this file")
 
@@ -435,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_natural, required=True)
     p.add_argument("--n", type=_natural, default=2)
     p.add_argument("--pool", type=_natural, default=10 ** 6)
-    p.add_argument("--budget", type=_natural, default=configs.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_natural, default=None)  # configs.DEFAULT_BUDGET
     p.add_argument("--seed", type=_natural, default=0)
 
     p = add("corollary3-plan", _cmd_corollary3_plan, "decompose an even k into base times multiplier")

@@ -12,15 +12,18 @@ count against ENUM_CAPACITY before any solution is built, then backtrack
 from m through states with a nonzero count only, so no branch is explored
 that leads to no solution.
 
-Whole-range multiplicity counting runs on the segmented numpy sieves
-instead; multiplicity_table() imports them when it runs, so the per-target
-paths never load numpy.  Brute-force scan bounds used throughout:
-phi(x) >= sqrt(x/2) caps phi-preimages of m at 2m**2, sigma(x) >= x caps
-sigma-preimages at m.
+multiplicity_table() runs the same knapsack over every m <= B at once, in
+numpy: the multiplicities are the coefficients of a Dirichlet product over
+the primes, one factor (1 + sum of v**-s over the prime's block values v)
+per prime.  It imports numpy when it runs, so the per-target paths never
+load it.  Its capacity is stated as the scan over x that the table stands
+for: phi(x) >= sqrt(x/2) puts every phi-preimage of m below 2m**2, and
+sigma(x) >= x puts every sigma-preimage of m at most at m.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,8 +35,9 @@ from .errors import CapacityError, DomainError
 if TYPE_CHECKING:
     import numpy as np
 
-SCAN_CAPACITY = 2 * 10 ** 8  # most x-values a single table request may visit
+SCAN_CAPACITY = 2 * 10 ** 8  # largest x-range a table may stand for: 2*B**2 (phi), B (sigma)
 ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may build
+_FIRST_CHUNK = 1 << 20  # table entries per step of minimal_m_by_multiplicity
 
 _KINDS = ("phi", "sigma")
 
@@ -201,52 +205,97 @@ def multiplicity(m: int, map_kind: str) -> int:
 
 def multiplicity_table(map_kind: str, m_bound: int,
                        scan_capacity: int = SCAN_CAPACITY) -> np.ndarray:
-    """counts[m] = multiplicity of m, for all 0 <= m <= m_bound, in one pass.
+    """counts[m] = multiplicity of m, for all 0 <= m <= m_bound, as int64.
 
-    The phi table must scan x <= 2*m_bound**2 and the sigma table x <= m_bound,
-    so the phi variant hits the capacity ceiling much earlier.
+    The multiplicities are the coefficients of a Dirichlet product over the
+    primes, sum A(m) m**-s = prod_p (1 + sum_a phi(p**a)**-s), and likewise
+    for sigma.  The table is a 0/1 knapsack over m that multiplies in one
+    prime factor at a time, starting from counts[1] = 1 (x = 1):
+
+    - A prime p <= isqrt(m_bound) + 1 adds each of its block values v <= m_bound
+      ((p-1)*p**(a-1), or sigma(p**b)) to a snapshot of the table taken
+      before p, so a preimage uses at most one block of p.
+    - A larger prime has the single value p-1 or p+1, above sqrt(m_bound),
+      so at most one such prime divides any preimage: each m = v*j gains the
+      small-prime count of j.
+
+    The work depends on m_bound only.  scan_capacity bounds the scan over x
+    the table stands for (x <= 2*m_bound**2 for phi, x <= m_bound for sigma)
+    and is checked before any work, so the phi variant hits it much earlier.
     """
     import numpy as np
 
-    from .sieves import iter_phi_blocks, iter_sigma_blocks
+    from .sieves import primes_upto
 
     _check_kind(map_kind)
     if m_bound < 1:
         raise DomainError(f"table bound must be positive, got {m_bound}")
-    if map_kind == "phi":
-        x_max = 2 * m_bound * m_bound
-        blocks = iter_phi_blocks(x_max)
-    else:
-        x_max = m_bound
-        blocks = iter_sigma_blocks(x_max)
+    x_max = 2 * m_bound * m_bound if map_kind == "phi" else m_bound
     if x_max > scan_capacity:
         raise CapacityError(
             f"table for bound {m_bound} ({map_kind}) needs a scan to {x_max}, "
             f"over capacity {scan_capacity}")
-    # Each block keeps its in-range values and one bincount runs at the end:
-    # there are O(m_bound) such values in all (sigma(x) >= x, and on average
-    # m has fewer than two phi-preimages), and a bincount per cache-sized
-    # block would cost O(m_bound) each.
-    hits = [vals[vals <= m_bound] for _, vals in blocks]
-    return np.bincount(np.concatenate(hits), minlength=m_bound + 1)
+    # no count exceeds x_max, so int32 is exact below 2**31 and halves the
+    # memory traffic of the strided adds
+    counts = np.zeros(m_bound + 1, dtype=np.int32 if x_max < 2 ** 31 else np.int64)
+    counts[1] = 1
+    # the table's own capacity check covers this prime table, which is smaller
+    primes = primes_upto(m_bound + 1, span_capacity=m_bound + 1)
+    split = int(np.searchsorted(primes, math.isqrt(m_bound) + 1, side="right"))
+    for p in primes[:split].tolist():
+        values = _small_prime_values(p, map_kind, m_bound)
+        if values:
+            old = counts[: m_bound // values[0] + 1].copy()
+            for v in values:
+                counts[v::v] += old[1 : m_bound // v + 1]
+    values = primes[split:] + (-1 if map_kind == "phi" else 1)
+    values = values[: np.searchsorted(values, m_bound, side="right")]
+    if values.size:
+        # every target index v*j lies above this prefix, so it is read unchanged
+        base = counts[: m_bound // int(values[0]) + 1]
+        for j in np.flatnonzero(base).tolist():
+            cut = np.searchsorted(values, m_bound // j, side="right")
+            counts[values[:cut] * j] += base[j]  # distinct indices for one j
+    return counts.astype(np.int64, copy=False)
 
 
-def minimal_m_in_table(counts: np.ndarray, k: int) -> int | None:
-    """Smallest m >= 1 with counts[m] == k in a multiplicity_table() result, or None."""
-    hit = counts[1:] == k
-    first = int(hit.argmax())  # argmax of a bool array is its first True
-    return first + 1 if hit[first] else None
+def _small_prime_values(p: int, map_kind: str, m_bound: int) -> list[int]:
+    """The block values of p up to m_bound, ascending: phi(p**a) or sigma(p**b)."""
+    values = []
+    v = p - 1 if map_kind == "phi" else p + 1
+    while v <= m_bound:
+        values.append(v)
+        v = v * p if map_kind == "phi" else v * p + 1
+    return values
+
+
+def minimal_m_by_multiplicity(counts: np.ndarray) -> list[int | None]:
+    """first[k] = smallest m >= 1 with counts[m] == k, or None, for every
+    0 <= k <= max(counts[1:]), from one pass over a multiplicity_table() result.
+
+    No m has a multiplicity above that maximum, so first answers every k.
+    """
+    import numpy as np
+
+    values = counts[1:]
+    none = values.size + 1
+    first = np.full(int(values.max()) + 1, none, dtype=np.int64)
+    for lo in range(0, values.size, _FIRST_CHUNK):  # bounds the index array
+        chunk = values[lo : lo + _FIRST_CHUNK]
+        np.minimum.at(first, chunk, np.arange(lo + 1, lo + 1 + chunk.size))
+    return [None if m == none else m for m in first.tolist()]
 
 
 def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
                                 scan_capacity: int = SCAN_CAPACITY) -> MultiplicityRecord:
-    """Smallest m <= scan_bound with multiplicity exactly k, by batch scan.
+    """Smallest m <= scan_bound with multiplicity exactly k, from tables.
 
-    Grows the scanned prefix of m geometrically, by a factor of 4, so small
-    answers stay cheap; the recomputation overhead is bounded by a constant
-    factor.  The sigma scan starts at m <= 4096 (x <= 4096).  The phi scan
-    starts at m <= 64, because its table must visit x <= 2*m**2: a first
-    bound of 4096 would scan 3.4e7 values even when the answer is m = 2.
+    Builds multiplicity_table() over a prefix of m that grows by a factor of
+    4, so small answers stay cheap; the recomputation overhead is bounded by
+    a constant factor.  The sigma prefix starts at m <= 4096.  The phi
+    prefix starts at m <= 64, because each table is held to scan_capacity
+    as the scan to x <= 2*m**2 it stands for: a first bound of 4096 would
+    need a capacity of 3.4e7 even when the answer is m = 2.
     """
     if k < 0:
         raise DomainError(f"multiplicity must be nonnegative, got {k}")
@@ -255,7 +304,8 @@ def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
         raise DomainError(f"scan bound must be positive, got {scan_bound}")
     bound = min(64 if map_kind == "phi" else 4096, scan_bound)
     while True:
-        minimal = minimal_m_in_table(multiplicity_table(map_kind, bound, scan_capacity), k)
+        first = minimal_m_by_multiplicity(multiplicity_table(map_kind, bound, scan_capacity))
+        minimal = first[k] if k < len(first) else None
         if minimal is not None:
             return MultiplicityRecord(k, map_kind, minimal, scan_bound)
         if bound == scan_bound:

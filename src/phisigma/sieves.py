@@ -5,8 +5,11 @@ Hudson (BIT 17, 1977), so memory stays bounded regardless of the requested
 range.  Two segment sizes serve two kinds of scan:
 
 - sieve_range marks composites in boolean segments of SEGMENT = 2**22
-  entries.  It loops over every base prime once per segment and its work
-  per entry is one byte write, so long segments keep that Python loop rare.
+  entries, one byte write per entry struck.  It loops only over the base
+  primes no longer than the segment, one strided store each; a longer base
+  prime hits the segment at most once, so those are struck together in one
+  vector step.  Far from 0 (78,498 base primes near 10**12) a short window
+  thus costs a few array operations, not a Python step per base prime.
 - The phi and sigma value blocks hold two or three int64 work arrays and
   touch each entry once per prime power dividing it, so they run in
   cache-sized blocks of VALUE_BLOCK = 2**17 entries (1 MB per array).  On
@@ -49,12 +52,12 @@ def _prime_flags(n: int) -> np.ndarray:
     return flags
 
 
-def primes_upto(n: int) -> np.ndarray:
+def primes_upto(n: int, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> np.ndarray:
     """All primes <= n as an int64 array."""
     if n < 0:
         raise DomainError(f"prime bound must be nonnegative, got {n}")
-    if n > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"dense prime table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
+    if n > span_capacity:
+        raise CapacityError(f"dense prime table to {n} exceeds capacity {span_capacity}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(_prime_flags(n)).astype(np.int64, copy=False)
@@ -80,11 +83,15 @@ def sieve_range(lo: int, hi: int, span_capacity: int = DEFAULT_SPAN_CAPACITY) ->
     for start in range(lo, hi + 1, SEGMENT):
         stop = min(start + SEGMENT, hi + 1)
         flags = np.ones(stop - start, dtype=bool)
-        for p in base:
-            p = int(p)
+        split = int(np.searchsorted(base, stop - start, side="right"))
+        for p in base[:split].tolist():
             first = max(p * p, (start + p - 1) // p * p)
             if first < stop:
                 flags[first - start :: p] = False
+        # a base prime longer than the segment hits it at most once
+        wide = base[split:]
+        first = np.maximum(wide * wide, -(-start // wide) * wide)
+        flags[first[first < stop] - start] = False
         if start <= 1:
             flags[: 2 - start] = False
         out.extend((np.flatnonzero(flags) + start).tolist())

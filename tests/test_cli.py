@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import phisigma.arith
@@ -339,6 +340,39 @@ def test_table_k_rows_byte_identical(capsys, monkeypatch, fmt):
     assert out == _old_rows(rows, ["k", "minimal_m", "scan_bound"], fmt)
 
 
+class _PassCounter(np.ndarray):
+    """A table that counts the numpy operations that read it."""
+
+    passes = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _PassCounter.passes += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _PassCounter) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_table_k_range_reads_table_a_fixed_number_of_times(capsys, monkeypatch):
+    real = phisigma.preimages.multiplicity_table
+    monkeypatch.setattr(phisigma.preimages, "multiplicity_table",
+                        lambda *args, **kw: real(*args, **kw).view(_PassCounter))
+    passes = {}
+    for ks in ("2", "0..400"):
+        _PassCounter.passes = 0
+        code, out, _ = run_main(capsys, "table", "--map", "sigma", "--bound", "5000", "--k", ks)
+        assert code == 0
+        passes[ks] = _PassCounter.passes
+    assert passes["0..400"] == passes["2"] > 0  # not one pass per k
+    counts = real("sigma", 5000)
+    rows = []
+    for k in range(401):
+        hits = np.flatnonzero(counts[1:] == k)
+        rows.append({"k": k, "minimal_m": int(hits[0]) + 1 if hits.size else None,
+                     "scan_bound": 5000})
+    assert rows[-1]["minimal_m"] is None
+    assert [json.loads(row) for row in out.splitlines()] == rows
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_row_writer_non_int_cells(fmt):
     # Cells the tables do not produce today still follow the per-row rules:
@@ -379,16 +413,20 @@ PUBLIC_NAMES = {
 NUMPY_FREE_SCRIPT = """
 import contextlib, io, sys
 from phisigma import cli
-runs = [["inverse", "phi", "4"], ["inverse", "sigma", "12"],
-        ["multiplicity", "sigma", "12"], ["verify-config", CFG], ["certify", CFG],
-        ["l-value", "3", "5", "7"], ["lemma3-constant"], ["--help"]]
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in runs:
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 0, argv
+
+def run(*runs):
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 0, argv
+
+run(["inverse", "phi", "4"], ["inverse", "sigma", "12"], ["multiplicity", "sigma", "12"],
+    ["l-value", "3", "5", "7"], ["lemma3-constant"], ["--help"])
+assert "phisigma.configs" not in sys.modules, "configs was loaded"
+run(["verify-config", CFG], ["certify", CFG])
 assert "numpy" not in sys.modules, "numpy was loaded"
 """
 

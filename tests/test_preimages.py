@@ -3,6 +3,7 @@
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 import phisigma.arith
@@ -10,6 +11,7 @@ import phisigma.preimages
 from phisigma.arith import divisors, euler_phi, sigma
 from phisigma.errors import CapacityError, DomainError
 from phisigma.preimages import (
+    minimal_m_by_multiplicity,
     minimal_m_with_multiplicity,
     multiplicity,
     multiplicity_table,
@@ -200,3 +202,77 @@ def test_one_factorization_per_target(monkeypatch):
     assert multiplicity(m, "sigma") == len(sigma_preimages(m).solutions)
     assert calls == [m]
     assert phisigma.preimages._divisor_list(m) == tuple(divisors(m))
+
+
+def _sieved_table(kind, m_bound):
+    """Multiplicity table by sieving phi or sigma over every x the bound
+    allows (x <= 2*m_bound**2 for phi, x <= m_bound for sigma) and one bincount."""
+    x_max = 2 * m_bound * m_bound if kind == "phi" else m_bound
+    blocks = iter_phi_blocks(x_max) if kind == "phi" else iter_sigma_blocks(x_max)
+    hits = [vals[vals <= m_bound] for _, vals in blocks]
+    return np.bincount(np.concatenate(hits), minlength=m_bound + 1)
+
+
+def _assert_table(kind, m_bound, want):
+    got = multiplicity_table(kind, m_bound)
+    assert got.dtype == np.int64 and got.shape == (m_bound + 1,), (kind, m_bound)
+    assert got[0] == 0 and np.array_equal(got, want), (kind, m_bound)
+
+
+@pytest.mark.parametrize("kind, top", [("phi", 300), ("sigma", 3000)])
+def test_table_equals_sieve_at_every_bound(kind, top):
+    # every preimage of m <= B lies in the sieve for B, so one sieve at the
+    # top bound holds the answer for every smaller bound as a prefix
+    sieved = _sieved_table(kind, top)
+    for m_bound in range(1, top + 1):
+        _assert_table(kind, m_bound, sieved[: m_bound + 1])
+
+
+def test_table_equals_sieve_around_prime_squares():
+    # the knapsack splits its primes at isqrt(B) + 1
+    rs = {r + d for p in (2, 3, 5, 7, 11, 13, 31, 37, 211) for r in (p - 1, p, p + 1)
+          for d in (0, 1)}
+    for kind, r_max in (("phi", 40), ("sigma", 225)):
+        bounds = sorted({r * r + e for r in rs if r <= r_max for e in (-1, 0, 1)} - {0})
+        sieved = _sieved_table(kind, bounds[-1])
+        for m_bound in bounds:
+            _assert_table(kind, m_bound, sieved[: m_bound + 1])
+
+
+def test_table_prefix_property():
+    rng = random.Random(5)
+    for kind, top in (("phi", 3000), ("sigma", 10 ** 6)):
+        big = multiplicity_table(kind, top)
+        for m_bound in [1, 2, 3, 4, top - 1] + [rng.randrange(1, top) for _ in range(8)]:
+            assert np.array_equal(multiplicity_table(kind, m_bound), big[: m_bound + 1]), m_bound
+
+
+def test_table_wide_counts_path():
+    # a phi table standing for a scan past 2**31 keeps int64 counts throughout
+    table = multiplicity_table("phi", 40000, scan_capacity=10 ** 10)
+    assert table.dtype == np.int64 and table.shape == (40001,)
+    assert np.array_equal(table[:301], _sieved_table("phi", 300))
+    assert np.array_equal(table, multiplicity_table("phi", 10 ** 5, scan_capacity=10 ** 11)[:40001])
+    # and agrees with the int32 counts of a table whose scan stays below 2**31
+    assert np.array_equal(multiplicity_table("phi", 30000, scan_capacity=10 ** 10),
+                          table[:30001])
+
+
+def test_minimal_m_phi_equals_sieved_table_scan():
+    sieved = _sieved_table("phi", 1420)
+    for k in range(14):
+        hits = np.flatnonzero(sieved[1:] == k)
+        want = int(hits[0]) + 1 if hits.size else None
+        assert minimal_m_with_multiplicity(k, "phi", 1420).minimal_m == want, k
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
+def test_minimal_m_by_multiplicity_matches_per_k_scan(monkeypatch, chunk):
+    monkeypatch.setattr(phisigma.preimages, "_FIRST_CHUNK", chunk)
+    for kind, bound in (("phi", 300), ("sigma", 2000)):
+        counts = multiplicity_table(kind, bound)
+        first = minimal_m_by_multiplicity(counts)
+        assert len(first) == counts[1:].max() + 1
+        for k in range(len(first)):
+            hits = [m for m in range(1, bound + 1) if counts[m] == k]
+            assert first[k] == (hits[0] if hits else None), (kind, k)

@@ -1,17 +1,20 @@
 """Segmented sieve layer checked against per-value arithmetic."""
 
+import math
 import random
 
 import numpy as np
 import pytest
 import sympy
 
+import phisigma.sieves
 from phisigma.arith import euler_phi, is_prime, sigma
 from phisigma.errors import CapacityError
 from phisigma.preimages import multiplicity_table
 from phisigma.sieves import (
     BLOCK_PER_BASE_PRIME,
     DEFAULT_SPAN_CAPACITY,
+    SEGMENT,
     VALUE_BLOCK,
     iter_phi_blocks,
     iter_sigma_blocks,
@@ -169,3 +172,35 @@ def test_multiplicity_table_matches_block_bincounts():
             want = _table_by_block_bincounts(kind, m_bound)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (kind, m_bound)
+
+
+def _trial_division_primes(lo, hi):
+    return [n for n in range(max(lo, 2), hi + 1)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def test_sieve_range_around_loop_vector_split():
+    # base primes up to the window length run the loop, longer ones the vector step
+    for lo in (0, 1, 2, 97, 10 ** 6 - 7, 999_983, 10 ** 7 + 1):
+        for width in (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 30, 31, 32, 400):
+            hi = lo + width - 1
+            assert sieve_range(lo, hi) == _trial_division_primes(lo, hi), (lo, width)
+
+
+def test_sieve_range_width_one_windows():
+    points = [0, 1, 2, 3, 4, 9, 25, 49, 121, 997 ** 2, 999_983, 999_983 ** 2,
+              1_000_003 ** 2, 10 ** 12 + 39, 10 ** 12 + 40]
+    for n in points:
+        assert sieve_range(n, n) == _trial_division_primes(n, n), n
+
+
+def test_sieve_range_spans_two_segments(monkeypatch):
+    hi = SEGMENT + 5000
+    assert sieve_range(3, hi) == primes_upto(hi)[1:].tolist()
+    monkeypatch.setattr(phisigma.sieves, "SEGMENT", 64)
+    for lo in (0, 1, 60, 4093, 10 ** 6):
+        for width in (65, 128, 129, 300):
+            hi = lo + width - 1
+            assert sieve_range(lo, hi) == _trial_division_primes(lo, hi), (lo, width)
+    # base primes above 64 lie in later segments, which they must not strike
+    assert sieve_range(0, 5000) == _trial_division_primes(0, 5000)
