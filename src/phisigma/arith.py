@@ -329,24 +329,28 @@ def sigma_prime_power(p: int, e: int) -> int:
     return (p ** (e + 1) - 1) // (p - 1)
 
 
+def _prime_powers_with_sigma(d: int, min_exponent: int):
+    """Yield each prime power pi**b with sigma(pi**b) == d and
+    b >= min_exponent >= 2, by ascending b.  For b >= 2 the base is pinned
+    down: pi**b < sigma(pi**b) < (pi+1)**b, so pi must equal iroot(d, b)."""
+    b = min_exponent
+    while (1 << (b + 1)) - 1 <= d:
+        pi = iroot(d, b)
+        if pi >= 2 and sigma_prime_power(pi, b) == d and is_prime(pi):
+            yield pi, b
+        b += 1
+
+
 def prime_power_sigma_solve(d: int, min_exponent: int = 2) -> tuple[int, int] | None:
     """Find a prime power pi**b with sigma(pi**b) == d and b >= min_exponent.
 
-    Returns the representation with the smallest exponent, or None.  For
-    b >= 2 the base is pinned down: pi**b < sigma(pi**b) < (pi+1)**b, so
-    pi must equal iroot(d, b).
+    Returns the representation with the smallest exponent, or None.
     """
     if d < 1:
         raise DomainError(f"sigma value must be positive, got {d}")
     if min_exponent < 2:
         raise DomainError(f"min_exponent must be at least 2, got {min_exponent}")
-    b = min_exponent
-    while (1 << (b + 1)) - 1 <= d:
-        pi = iroot(d, b)
-        if pi >= 2 and sigma_prime_power(pi, b) == d and is_prime(pi):
-            return pi, b
-        b += 1
-    return None
+    return next(_prime_powers_with_sigma(d, min_exponent), None)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -357,13 +361,5 @@ def prime_power_sigma_all(d: int) -> tuple[tuple[int, int], ...]:
     """
     if d < 1:
         raise DomainError(f"sigma value must be positive, got {d}")
-    out: list[tuple[int, int]] = []
-    if d >= 3 and is_prime(d - 1):
-        out.append((d - 1, 1))
-    b = 2
-    while (1 << (b + 1)) - 1 <= d:
-        pi = iroot(d, b)
-        if pi >= 2 and sigma_prime_power(pi, b) == d and is_prime(pi):
-            out.append((pi, b))
-        b += 1
-    return tuple(out)
+    first = ((d - 1, 1),) if d >= 3 and is_prime(d - 1) else ()
+    return first + tuple(_prime_powers_with_sigma(d, 2))

@@ -1,14 +1,28 @@
-"""Command-line surface: one subcommand per library operation.
+"""Command-line surface: one table of subcommands over the library.
+
+_COMMANDS lists each subcommand once: its name, its help line, its argument
+specs in --help order (after the shared --format) and a handler.
+build_parser reads the table, and main runs the handler and writes what it
+returns: a payload dict as one record with "command" added, or
+(chunks, fieldnames) as a row stream.
+
+Payloads derive from the library's result dataclasses.  _fields gives one
+key per field, converts nested dataclasses alike, writes fractions as
+"n/d", and renames the three fields whose key differs (map_kind -> map,
+examined -> examined_pairs, exempted -> exempted_pairs).  Handlers add the
+derived keys (multiplicity, found, overall) and turn witness tuples into
+objects.  Commands with no result dataclass spell out their few keys.
 
 Exit codes: 0 success (including "absent" search results), 2 invalid
-input, 3 capacity exceeded, 4 certification failure.  Output is JSON
-objects (one per line for row streams) or CSV with a header row; payloads
-carry no timestamps, so identical invocations produce identical bytes.
+input (an unreadable config file or --out path too), 3 capacity exceeded,
+4 certification failure.  Output is JSON objects (one per line for row
+streams) or CSV with a header row; payloads carry no timestamps, so
+identical invocations produce identical bytes.
 
 No module imported here loads numpy at import time, so only the commands
 that sieve or build tables pay for it; inverse, multiplicity, verify-config,
 certify, l-value, lemma3-constant and --help never load it.  Likewise the
-configs module loads only in the commands that use configurations or plans.
+configs module loads only in the handlers that use configurations or plans.
 Row streams are written ROW_CHUNK rows at a time, each chunk rendered with
 one join, so memory stays bounded however long the table is.
 """
@@ -17,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -24,6 +39,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from typing import Callable, NamedTuple
 
 from . import preimages, sievelab
 from .errors import CapacityError, CertificationError, DomainError
@@ -144,257 +160,196 @@ def _fraction_str(value: Fraction) -> str:
 
 # ---------------------------------------------------------------- payloads
 
-def _preimage_payload(ps) -> dict:
-    return {
-        "map": ps.map_kind,
-        "target": ps.target,
-        "solutions": list(ps.solutions),
-        "multiplicity": ps.multiplicity,
-    }
+# result field -> payload key, where the two differ
+_RENAMES = {"map_kind": "map", "examined": "examined_pairs", "exempted": "exempted_pairs"}
+# witness tuple -> object keys, by the report field holding it
+_WITNESS_KEYS = {"cond_ii": ("pi", "b", "divisor"), "cond_iii": ("d1", "d2")}
 
 
-def _cond_i_payload(res) -> dict:
-    return {
-        "passed": res.passed,
-        "forms": [{"i": f.i, "j": f.j, "value": f.value, "prime": f.prime}
-                  for f in res.forms],
-        "values_distinct": res.values_distinct,
-        "duplicate_value": res.duplicate_value,
-        "matrix_overlap": res.matrix_overlap,
-    }
+def _fields(obj) -> dict:
+    """A result dataclass as a payload: one key per field, renamed by
+    _RENAMES, nested dataclasses (alone or in tuples) converted alike and
+    fractions written "n/d".  Other values are kept as they are (json and
+    _cell write tuples as lists); dataclasses.asdict would deep-copy each
+    one, about 1.7 s per million solutions on CPython 3.11."""
+    payload = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            value = _fields(value)
+        elif isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0]):
+            value = [_fields(item) for item in value]
+        elif isinstance(value, Fraction):
+            value = _fraction_str(value)
+        payload[_RENAMES.get(field.name, field.name)] = value
+    return payload
 
 
-def _cond_ii_payload(res) -> dict:
-    witness = None
-    if res.witness is not None:
-        pi, b, d = res.witness
-        witness = {"pi": pi, "b": b, "divisor": d}
-    return {"passed": res.passed, "witness": witness, "note": res.note}
+def _report(report) -> dict:
+    payload = _fields(report)
+    for cond, keys in _WITNESS_KEYS.items():
+        witness = payload[cond]["witness"]
+        if witness is not None:
+            payload[cond]["witness"] = dict(zip(keys, witness))
+    return {**payload, "overall": report.overall}
 
 
-def _cond_iii_payload(res) -> dict:
-    witness = None
-    if res.witness is not None:
-        d1, d2 = res.witness
-        witness = {"d1": d1, "d2": d2}
-    return {"passed": res.passed, "witness": witness,
-            "examined_pairs": res.examined, "exempted_pairs": res.exempted}
+def _certificate(cert) -> dict:
+    payload = _fields(cert)
+    del payload["observed_preimages"]
+    payload["config"] = _configs().config_to_payload(cert.config) if cert.config else None
+    payload["observed_multiplicity"] = cert.observed_preimages.multiplicity
+    payload["solutions"] = cert.observed_preimages.solutions
+    return payload
 
 
-def _report_payload(report) -> dict:
-    return {
-        "cond_i": _cond_i_payload(report.cond_i),
-        "cond_ii": _cond_ii_payload(report.cond_ii),
-        "cond_iii": _cond_iii_payload(report.cond_iii),
-        "overall": report.overall,
-    }
+# ---------------------------------------------------------------- handlers
+#
+# Library functions are looked up on their modules at call time, so a
+# patched module attribute is what runs.
+
+def _configs():
+    from . import configs  # loaded only by the commands that use configurations
+
+    return configs
 
 
-def _stats_payload(stats) -> dict:
-    return {
-        "probes": stats.probes,
-        "rounds": stats.rounds,
-        "assembled": stats.assembled,
-        "cond_i_rejects": stats.cond_i_rejects,
-        "cond_ii_rejects": stats.cond_ii_rejects,
-        "cond_iii_rejects": stats.cond_iii_rejects,
-        "found": stats.found,
-    }
+def _budget(args, configs) -> int:
+    return configs.DEFAULT_BUDGET if args.budget is None else args.budget
 
 
-def _certificate_payload(cert) -> dict:
-    from . import configs
-
-    return {
-        "config": configs.config_to_payload(cert.config) if cert.config else None,
-        "target": cert.target,
-        "predicted_multiplicity": cert.predicted_multiplicity,
-        "observed_multiplicity": cert.observed_preimages.multiplicity,
-        "solutions": list(cert.observed_preimages.solutions),
-        "matchings": [list(m) for m in cert.matchings],
-    }
+def _inverse(args) -> dict:
+    find = preimages.phi_preimages if args.map == "phi" else preimages.sigma_preimages
+    ps = find(args.m)
+    return {**_fields(ps), "multiplicity": ps.multiplicity}
 
 
-# ---------------------------------------------------------------- commands
-
-def _cmd_inverse(args) -> int:
-    if args.map == "phi":
-        ps = preimages.phi_preimages(args.m)
-    else:
-        ps = preimages.sigma_preimages(args.m)
-    _emit_record({"command": "inverse", **_preimage_payload(ps)}, args.format, sys.stdout)
-    return EXIT_OK
-
-
-def _cmd_multiplicity(args) -> int:
-    count = preimages.multiplicity(args.m, args.map)
-    _emit_record({"command": "multiplicity", "map": args.map, "target": args.m,
-                  "multiplicity": count}, args.format, sys.stdout)
-    return EXIT_OK
-
-
-def _cmd_table(args) -> int:
-    counts = preimages.multiplicity_table(args.map, args.bound,
-                                          scan_capacity=args.capacity)
+def _table(args):
+    counts = preimages.multiplicity_table(args.map, args.bound, scan_capacity=args.capacity)
     if args.k is None:
-        fields = ("m", "multiplicity")
-        chunks = ((ms, counts[ms.start:ms.stop].tolist())
-                  for ms in _row_ranges(1, args.bound))
-    else:
-        first = preimages.minimal_m_by_multiplicity(counts)
-        fields = ("k", "minimal_m", "scan_bound")
-        chunks = ((ks, [first[k] if k < len(first) else None for k in ks],
-                   [args.bound] * len(ks))
-                  for ks in _row_ranges(*args.k))
-    _emit_rows(chunks, fields, args.format, sys.stdout)
-    return EXIT_OK
+        return (((ms, counts[ms.start:ms.stop].tolist()) for ms in _row_ranges(1, args.bound)),
+                ("m", "multiplicity"))
+    first = preimages.minimal_m_by_multiplicity(counts)
+    return (((ks, [first[k] if k < len(first) else None for k in ks], [args.bound] * len(ks))
+             for ks in _row_ranges(*args.k)),
+            ("k", "minimal_m", "scan_bound"))
 
 
-def _cmd_min_m(args) -> int:
+def _min_m(args) -> dict:
     rec = preimages.minimal_m_with_multiplicity(args.k, args.map, args.bound,
                                                 scan_capacity=args.capacity)
-    _emit_record({
-        "command": "min-m",
-        "map": rec.map_kind,
-        "k": rec.k,
-        "minimal_m": rec.minimal_m,
-        "scan_bound": rec.scan_bound,
-        "found": rec.minimal_m is not None,
-    }, args.format, sys.stdout)
-    return EXIT_OK
+    return {**_fields(rec), "found": rec.minimal_m is not None}
 
 
-def _cmd_verify_config(args) -> int:
-    from . import configs
-
+def _verify_config(args) -> dict:
+    configs = _configs()
     cfg = configs.load_config(args.file)
-    report = configs.verify(cfg)
-    _emit_record({
-        "command": "verify-config",
-        "config": configs.config_to_payload(cfg),
-        **_report_payload(report),
-    }, args.format, sys.stdout)
-    return EXIT_OK
+    return {"config": configs.config_to_payload(cfg), **_report(configs.verify(cfg))}
 
 
-def _cmd_search_config(args) -> int:
-    from . import configs
-
-    kind = "phi" if args.lemma == "1" else "sigma"
-    budget = configs.DEFAULT_BUDGET if args.budget is None else args.budget
-    cfg, stats = configs.search_config(kind, args.r, args.n, args.pool, budget,
+def _search_config(args) -> dict:
+    configs = _configs()
+    cfg, stats = configs.search_config("phi" if args.lemma == "1" else "sigma", args.r,
+                                       args.n, args.pool, _budget(args, configs),
                                        seed=args.seed, base_m=args.base_m)
-    payload = {"command": "search-config", "found": cfg is not None,
-               "stats": _stats_payload(stats)}
+    payload = {"found": cfg is not None, "stats": _fields(stats)}
     if cfg is not None:
         payload["config"] = configs.config_to_payload(cfg)
-        payload["report"] = _report_payload(configs.verify(cfg))
+        payload["report"] = _report(configs.verify(cfg))
         if args.out:
             configs.save_config(cfg, args.out)
-    _emit_record(payload, args.format, sys.stdout)
-    return EXIT_OK
+    return payload
 
 
-def _cmd_certify(args) -> int:
-    from . import configs
-
-    cfg = configs.load_config(args.file)
-    cert = configs.certify(cfg)
-    _emit_record({"command": "certify", **_certificate_payload(cert)},
-                 args.format, sys.stdout)
-    return EXIT_OK
+def _certify(args) -> dict:
+    configs = _configs()
+    return _certificate(configs.certify(configs.load_config(args.file)))
 
 
-def _cmd_theorem2(args) -> int:
-    from . import configs
-
-    budget = configs.DEFAULT_BUDGET if args.budget is None else args.budget
-    l, cert, stats = configs.theorem2_search(args.m, args.r, n=args.n,
-                                             pool_bound=args.pool,
-                                             budget=budget, seed=args.seed)
-    payload = {"command": "theorem2", "base_m": args.m, "r": args.r,
-               "found": l is not None, "stats": _stats_payload(stats)}
+def _theorem2(args) -> dict:
+    configs = _configs()
+    l, cert, stats = configs.theorem2_search(args.m, args.r, n=args.n, pool_bound=args.pool,
+                                             budget=_budget(args, configs), seed=args.seed)
+    payload = {"base_m": args.m, "r": args.r, "found": l is not None, "stats": _fields(stats)}
     if l is not None:
         payload["l"] = l
-        payload["certificate"] = _certificate_payload(cert)
-    _emit_record(payload, args.format, sys.stdout)
-    return EXIT_OK
+        payload["certificate"] = _certificate(cert)
+    return payload
 
 
-def _cmd_corollary3_plan(args) -> int:
-    from . import configs
-
-    plan = configs.corollary3_plan(args.k, table_bound=args.bound)
-    _emit_record({
-        "command": "corollary3-plan",
-        "k": plan.k,
-        "prime_factor": plan.prime_factor,
-        "multiplier_r": plan.multiplier_r,
-        "base_m": plan.base_m,
-        "base_multiplicity": plan.base_multiplicity,
-        "invocation": plan.invocation,
-    }, args.format, sys.stdout)
-    return EXIT_OK
-
-
-def _cmd_sieve_count(args) -> int:
-    report = sievelab.count_shifted_almost_primes(args.x, args.alpha, args.a)
-    _emit_record({
-        "command": "sieve-count",
-        "x": report.x,
-        "a": report.a,
-        "alpha": _fraction_str(report.alpha),
-        "count": report.count,
-        "normalized_ratio": report.normalized_ratio,
-        "reference_constant": report.reference_constant,
-    }, args.format, sys.stdout)
-    return EXIT_OK
-
-
-def _cmd_prime_pairs(args) -> int:
-    count = sievelab.count_prime_pairs(args.k, args.x)
-    _emit_record({"command": "prime-pairs", "k": args.k, "x": args.x,
-                  "count": count}, args.format, sys.stdout)
-    return EXIT_OK
-
-
-def _cmd_l_value(args) -> int:
+def _l_value(args) -> dict:
     value = sievelab.l_value(args.primes)
-    _emit_record({
-        "command": "l-value",
-        "primes": list(args.primes),
-        "numerator": value.numerator,
-        "denominator": value.denominator,
-        "value": float(value),
-    }, args.format, sys.stdout)
-    return EXIT_OK
+    return {"primes": args.primes, "numerator": value.numerator,
+            "denominator": value.denominator, "value": float(value)}
 
 
-def _cmd_ratio_sum(args) -> int:
-    report = sievelab.ratio_power_sum(args.beta, args.x, prime_cutoff=args.cutoff)
-    _emit_record({
-        "command": "ratio-sum",
-        "beta": report.beta,
-        "x": report.x,
-        "sum": report.sum,
-        "c_beta": report.c_beta,
-        "prime_cutoff": report.prime_cutoff,
-        "tail_factor_bound": report.tail_factor_bound,
-    }, args.format, sys.stdout)
-    return EXIT_OK
+# ---------------------------------------------------------------- command table
+
+class _Command(NamedTuple):
+    name: str
+    help: str
+    handler: Callable
+    args: tuple  # (name or flag, add_argument keywords), after the shared --format
 
 
-def _cmd_lemma3_constant(args) -> int:
-    value = sievelab.lemma3_reference_constant(args.alpha)
-    _emit_record({
-        "command": "lemma3-constant",
-        "alpha": _fraction_str(Fraction(args.alpha)),
-        "constant": value,
-    }, args.format, sys.stdout)
-    return EXIT_OK
+_MAP = {"choices": ("phi", "sigma")}
+_MAP_REQUIRED = {**_MAP, "required": True}
+_NAT = {"type": _natural}
+_NAT_REQUIRED = {"type": _natural, "required": True}
+_CAPACITY = ("--capacity", {"type": _natural, "default": preimages.SCAN_CAPACITY})
+_ALPHA = ("--alpha", {"type": _rational, "default": Fraction(1, 8)})
+_N = ("--n", {**_NAT, "default": 2})
+_BUDGET = ("--budget", _NAT)  # None stands for configs.DEFAULT_BUDGET, see _budget
+_SEED = ("--seed", {**_NAT, "default": 0})
 
+_COMMANDS = (
+    _Command("inverse", "enumerate all x with phi(x)=m or sigma(x)=m", _inverse,
+             (("map", _MAP), ("m", _NAT))),
+    _Command("multiplicity", "count the preimages of m",
+             lambda args: {"map": args.map, "target": args.m,
+                           "multiplicity": preimages.multiplicity(args.m, args.map)},
+             (("map", _MAP), ("m", _NAT))),
+    _Command("table", "multiplicity histogram, or minimal m per k with --k", _table,
+             (("--map", _MAP_REQUIRED), ("--bound", _NAT_REQUIRED),
+              ("--k", {"type": _k_range, "metavar": "A..B"}), _CAPACITY)),
+    _Command("min-m", "smallest m whose multiplicity is exactly k", _min_m,
+             (("--map", _MAP_REQUIRED), ("--k", _NAT_REQUIRED),
+              ("--bound", _NAT_REQUIRED), _CAPACITY)),
+    _Command("verify-config", "run all condition checks on a config file", _verify_config,
+             (("file", {}),)),
+    _Command("search-config", "seeded search for a passing configuration", _search_config,
+             (("--lemma", {"choices": ("1", "2"), "required": True}), ("--r", _NAT_REQUIRED),
+              _N, ("--pool", _NAT_REQUIRED), ("--base-m", {**_NAT, "default": 1}), _BUDGET,
+              _SEED, ("--out", {"help": "write the found config to this file"}))),
+    _Command("certify", "certify a verified config by exhaustive enumeration", _certify,
+             (("file", {}),)),
+    _Command("theorem2", "find l with phi-multiplicity(l*m) = r * multiplicity(m)", _theorem2,
+             (("--m", _NAT_REQUIRED), ("--r", _NAT_REQUIRED), _N,
+              ("--pool", {**_NAT, "default": 10 ** 6}), _BUDGET, _SEED)),
+    _Command("corollary3-plan", "decompose an even k into base times multiplier",
+             lambda args: _fields(_configs().corollary3_plan(args.k, table_bound=args.bound)),
+             (("--k", _NAT_REQUIRED), ("--bound", {**_NAT, "default": 1000}))),
+    _Command("sieve-count", "count shifted almost primes in (x/2, x]",
+             lambda args: _fields(sievelab.count_shifted_almost_primes(args.x, args.alpha,
+                                                                       args.a)),
+             (("--x", _NAT_REQUIRED), _ALPHA, ("--a", {"type": _shift, "required": True}))),
+    _Command("prime-pairs", "count primes p <= x-k with p+k prime",
+             lambda args: {"k": args.k, "x": args.x,
+                           "count": sievelab.count_prime_pairs(args.k, args.x)},
+             (("--k", _NAT_REQUIRED), ("--x", _NAT_REQUIRED))),
+    _Command("l-value", "product of |p_g-p_h|/phi(|p_g-p_h|) over pairs", _l_value,
+             (("primes", {**_NAT, "nargs": "+"}),)),
+    _Command("ratio-sum", "sum of (k/phi(k))**beta against the truncated product",
+             lambda args: _fields(sievelab.ratio_power_sum(args.beta, args.x,
+                                                           prime_cutoff=args.cutoff)),
+             (("--beta", {"type": float, "required": True}), ("--x", _NAT_REQUIRED),
+              ("--cutoff", {**_NAT, "default": 10 ** 5}))),
+    _Command("lemma3-constant", "the alpha=1/8 reference constant",
+             lambda args: {"alpha": _fraction_str(args.alpha),
+                           "constant": sievelab.lemma3_reference_constant(args.alpha)},
+             (_ALPHA,)),
+)
 
-# ---------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -402,89 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Preimage enumeration for phi and sigma, multiplicity-forcing "
                     "prime configurations, and sieve counting experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+    for command in _COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        p.set_defaults(handler=command.handler)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
-
-    p = add("inverse", _cmd_inverse, "enumerate all x with phi(x)=m or sigma(x)=m")
-    p.add_argument("map", choices=("phi", "sigma"))
-    p.add_argument("m", type=_natural)
-
-    p = add("multiplicity", _cmd_multiplicity, "count the preimages of m")
-    p.add_argument("map", choices=("phi", "sigma"))
-    p.add_argument("m", type=_natural)
-
-    p = add("table", _cmd_table, "multiplicity histogram, or minimal m per k with --k")
-    p.add_argument("--map", choices=("phi", "sigma"), required=True)
-    p.add_argument("--bound", type=_natural, required=True)
-    p.add_argument("--k", type=_k_range, default=None, metavar="A..B")
-    p.add_argument("--capacity", type=_natural, default=preimages.SCAN_CAPACITY)
-
-    p = add("min-m", _cmd_min_m, "smallest m whose multiplicity is exactly k")
-    p.add_argument("--map", choices=("phi", "sigma"), required=True)
-    p.add_argument("--k", type=_natural, required=True)
-    p.add_argument("--bound", type=_natural, required=True)
-    p.add_argument("--capacity", type=_natural, default=preimages.SCAN_CAPACITY)
-
-    p = add("verify-config", _cmd_verify_config, "run all condition checks on a config file")
-    p.add_argument("file")
-
-    p = add("search-config", _cmd_search_config, "seeded search for a passing configuration")
-    p.add_argument("--lemma", choices=("1", "2"), required=True)
-    p.add_argument("--r", type=_natural, required=True)
-    p.add_argument("--n", type=_natural, default=2)
-    p.add_argument("--pool", type=_natural, required=True)
-    p.add_argument("--base-m", type=_natural, default=1)
-    p.add_argument("--budget", type=_natural, default=None)  # configs.DEFAULT_BUDGET
-    p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--out", default=None, help="write the found config to this file")
-
-    p = add("certify", _cmd_certify, "certify a verified config by exhaustive enumeration")
-    p.add_argument("file")
-
-    p = add("theorem2", _cmd_theorem2, "find l with phi-multiplicity(l*m) = r * multiplicity(m)")
-    p.add_argument("--m", type=_natural, required=True)
-    p.add_argument("--r", type=_natural, required=True)
-    p.add_argument("--n", type=_natural, default=2)
-    p.add_argument("--pool", type=_natural, default=10 ** 6)
-    p.add_argument("--budget", type=_natural, default=None)  # configs.DEFAULT_BUDGET
-    p.add_argument("--seed", type=_natural, default=0)
-
-    p = add("corollary3-plan", _cmd_corollary3_plan, "decompose an even k into base times multiplier")
-    p.add_argument("--k", type=_natural, required=True)
-    p.add_argument("--bound", type=_natural, default=1000)
-
-    p = add("sieve-count", _cmd_sieve_count, "count shifted almost primes in (x/2, x]")
-    p.add_argument("--x", type=_natural, required=True)
-    p.add_argument("--alpha", type=_rational, default=Fraction(1, 8))
-    p.add_argument("--a", type=_shift, required=True)
-
-    p = add("prime-pairs", _cmd_prime_pairs, "count primes p <= x-k with p+k prime")
-    p.add_argument("--k", type=_natural, required=True)
-    p.add_argument("--x", type=_natural, required=True)
-
-    p = add("l-value", _cmd_l_value, "product of |p_g-p_h|/phi(|p_g-p_h|) over pairs")
-    p.add_argument("primes", type=_natural, nargs="+")
-
-    p = add("ratio-sum", _cmd_ratio_sum, "sum of (k/phi(k))**beta against the truncated product")
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--x", type=_natural, required=True)
-    p.add_argument("--cutoff", type=_natural, default=10 ** 5)
-
-    p = add("lemma3-constant", _cmd_lemma3_constant, "the alpha=1/8 reference constant")
-    p.add_argument("--alpha", type=_rational, default=Fraction(1, 8))
-
+        for name, spec in command.args:
+            p.add_argument(name, **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.handler(args)
+        if isinstance(result, dict):
+            _emit_record({"command": args.command, **result}, args.format, sys.stdout)
+        else:
+            _emit_rows(*result, args.format, sys.stdout)
+        return EXIT_OK
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -499,10 +389,10 @@ def main(argv=None) -> int:
             "observed": exc.observed,
             "target": exc.target,
             "solutions": list(exc.solutions),
-        }, getattr(args, "format", "json"), sys.stdout)
+        }, args.format, sys.stdout)
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

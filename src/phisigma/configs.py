@@ -580,10 +580,13 @@ def config_from_payload(payload: dict) -> PrimeConfig:
 
 
 def load_config(path: str) -> PrimeConfig:
+    """Read a config file.  Text that is not UTF-8 or not JSON, or that holds
+    an integer too long to convert or nesting too deep to parse, raises
+    DomainError; OSError (missing file, a directory) passes through."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise DomainError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_payload(payload)
 

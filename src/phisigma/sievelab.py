@@ -139,6 +139,8 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
 
     from .sieves import DEFAULT_SPAN_CAPACITY, iter_phi_blocks, primes_upto
 
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
     if x < 1:
@@ -147,22 +149,31 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
         raise DomainError(f"prime cutoff must be at least 2, got {prime_cutoff}")
     if x > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    terms = ((np.arange(start, start + vals.size, dtype=np.float64)
-              / vals.astype(np.float64)) ** beta
-             for start, vals in iter_phi_blocks(x))
-    total = math.fsum(chain.from_iterable(t.tolist() for t in terms))
-    c_beta = 1.0
-    for p in primes_upto(prime_cutoff).tolist():
-        g = (p / (p - 1.0)) ** beta - 1.0
-        c_beta *= 1.0 + g / p
-    # tail over p > P:  g(p) <= (beta/(p-1)) * e**(beta/(p-1)), so
-    # sum g(p)/p <= beta * e**(beta/P) * sum 1/((p-1)p) <= beta * e**(beta/P) / P
-    tail_log = beta * math.exp(beta / prime_cutoff) / prime_cutoff
+    try:
+        c_beta = 1.0
+        for p in primes_upto(prime_cutoff).tolist():
+            g = (p / (p - 1.0)) ** beta - 1.0
+            c_beta *= 1.0 + g / p
+        # tail over p > P:  g(p) <= (beta/(p-1)) * e**(beta/(p-1)), so
+        # sum g(p)/p <= beta * e**(beta/P) * sum 1/((p-1)p) <= beta * e**(beta/P) / P
+        tail_factor_bound = math.exp(beta * math.exp(beta / prime_cutoff) / prime_cutoff)
+        if not (math.isfinite(c_beta) and math.isfinite(tail_factor_bound)):
+            raise OverflowError
+        terms = ((np.arange(start, start + vals.size, dtype=np.float64)
+                  / vals.astype(np.float64)) ** beta
+                 for start, vals in iter_phi_blocks(x))
+        with np.errstate(over="ignore"):  # an infinite term makes the sum infinite
+            total = math.fsum(chain.from_iterable(t.tolist() for t in terms))
+        if not math.isfinite(total):
+            raise OverflowError
+    except OverflowError as exc:
+        raise DomainError(f"beta = {beta} is too large: c_beta, its tail factor "
+                          f"or the sum is not a finite float") from exc
     return RatioSumReport(
         beta=float(beta),
         x=x,
         sum=total,
         c_beta=c_beta,
         prime_cutoff=prime_cutoff,
-        tail_factor_bound=math.exp(tail_log),
+        tail_factor_bound=tail_factor_bound,
     )

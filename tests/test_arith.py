@@ -179,6 +179,19 @@ def test_prime_power_sigma_solve_brute_force():
             assert got is None, d
 
 
+def test_prime_power_sigma_solve_skips_exponent_one(monkeypatch):
+    # Condition (ii) solves on divisors of config targets; a primality test
+    # of d - 1 there could need a Pocklington proof nobody asked for.
+    tested = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n) or real(n))
+    prime_power_sigma_all.cache_clear()  # a cached answer would hide the call
+    for d in range(3, 3000):
+        tested.clear()
+        prime_power_sigma_solve(d)
+        assert d - 1 not in tested, d
+
+
 def test_prime_power_sigma_all_brute_force():
     for d in range(2, 3000):
         want = tuple(_brute_sigma_prime_power_reps(d, 1))

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 import phisigma.arith
 import phisigma.configs
 import phisigma.preimages
+import phisigma.sievelab
 from phisigma import cli
 from phisigma.configs import build_config, config_to_payload, save_config
 from phisigma.preimages import multiplicity_table, sigma_preimages
@@ -182,6 +184,34 @@ def test_certify_missing_file(capsys):
     code, _, err = run_main(capsys, "certify", "/nonexistent/cfg.json")
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("command", ["verify-config", "certify"])
+@pytest.mark.parametrize("content", [None, b"\xff{}", b"[" * 100000 + b"]" * 100000,
+                                     b'{"lemma": "2", "matrix": [[' + b"9" * 5000 + b"]]}"],
+                         ids=["directory", "not-utf8", "too-deep", "long-integer"])
+def test_unreadable_config_file_exit_code(tmp_path, capsys, command, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+    code, out, err = run_main(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    code, out, err = run_main(capsys, "search-config", "--lemma", "1", "--r", "2",
+                              "--pool", "1000", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "2000"])
+def test_ratio_sum_non_finite_beta_exit_code(capsys, beta):
+    code, out, err = run_main(capsys, "ratio-sum", "--beta", beta, "--x", "1000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: beta") and len(err.splitlines()) == 1
 
 
 def test_search_verify_certify_round_trip(tmp_path, capsys):
@@ -449,3 +479,170 @@ def test_numpy_free_commands_and_public_names(tmp_path):
             assert getattr(phisigma, name) is getattr(mod, name), name
             assert star[name] is getattr(mod, name), name
             assert name in dir(phisigma)
+
+
+# ------------------------------------------------------- every payload, by name
+
+def _report_keys(report) -> dict:
+    i, ii, iii = report.cond_i, report.cond_ii, report.cond_iii
+    return {
+        "cond_i": {"passed": i.passed,
+                   "forms": [{"i": f.i, "j": f.j, "value": f.value, "prime": f.prime}
+                             for f in i.forms],
+                   "values_distinct": i.values_distinct,
+                   "duplicate_value": i.duplicate_value,
+                   "matrix_overlap": i.matrix_overlap},
+        "cond_ii": {"passed": ii.passed,
+                    "witness": None if ii.witness is None
+                    else dict(zip(("pi", "b", "divisor"), ii.witness)),
+                    "note": ii.note},
+        "cond_iii": {"passed": iii.passed,
+                     "witness": None if iii.witness is None
+                     else dict(zip(("d1", "d2"), iii.witness)),
+                     "examined_pairs": iii.examined,
+                     "exempted_pairs": iii.exempted},
+        "overall": report.overall,
+    }
+
+
+def _stats_keys(stats) -> dict:
+    return {"probes": stats.probes, "rounds": stats.rounds, "assembled": stats.assembled,
+            "cond_i_rejects": stats.cond_i_rejects, "cond_ii_rejects": stats.cond_ii_rejects,
+            "cond_iii_rejects": stats.cond_iii_rejects, "found": stats.found}
+
+
+def _certificate_keys(cert) -> dict:
+    return {"config": config_to_payload(cert.config) if cert.config else None,
+            "target": cert.target,
+            "predicted_multiplicity": cert.predicted_multiplicity,
+            "observed_multiplicity": len(cert.observed_preimages.solutions),
+            "solutions": list(cert.observed_preimages.solutions),
+            "matchings": [list(m) for m in cert.matchings]}
+
+
+def _expect_inverse(_):
+    ps = phisigma.preimages.phi_preimages(4)
+    return (["inverse", "phi", "4"],
+            {"command": "inverse", "map": "phi", "target": 4,
+             "solutions": list(ps.solutions), "multiplicity": len(ps.solutions)})
+
+
+def _expect_multiplicity(_):
+    return (["multiplicity", "sigma", "12"],
+            {"command": "multiplicity", "map": "sigma", "target": 12,
+             "multiplicity": phisigma.preimages.multiplicity(12, "sigma")})
+
+
+def _expect_table(_):
+    counts = multiplicity_table("sigma", 30)
+    return (["table", "--map", "sigma", "--bound", "30"],
+            [{"m": m, "multiplicity": int(counts[m])} for m in range(1, 31)])
+
+
+def _expect_min_m(_):
+    rec = phisigma.preimages.minimal_m_with_multiplicity(2, "sigma", 1000)
+    return (["min-m", "--map", "sigma", "--k", "2", "--bound", "1000"],
+            {"command": "min-m", "map": "sigma", "k": 2, "minimal_m": rec.minimal_m,
+             "scan_bound": 1000, "found": rec.minimal_m is not None})
+
+
+def _expect_verify_config(paths):
+    cfg = phisigma.configs.load_config(paths["bad"])
+    return (["verify-config", paths["bad"]],
+            {"command": "verify-config", "config": config_to_payload(cfg),
+             **_report_keys(phisigma.configs.verify(cfg))})
+
+
+def _expect_search_config(_):
+    cfg, stats = phisigma.configs.search_config("sigma", 2, 2, 10 ** 6, 200000, seed=0)
+    return (["search-config", "--lemma", "2", "--r", "2", "--pool", "1e6",
+             "--budget", "200000", "--seed", "0"],
+            {"command": "search-config", "found": True, "stats": _stats_keys(stats),
+             "config": config_to_payload(cfg),
+             "report": _report_keys(phisigma.configs.verify(cfg))})
+
+
+def _expect_certify(paths):
+    cert = phisigma.configs.certify(phisigma.configs.load_config(paths["good"]))
+    return (["certify", paths["good"]], {"command": "certify", **_certificate_keys(cert)})
+
+
+def _expect_theorem2(_):
+    l, cert, stats = phisigma.configs.theorem2_search(1, 2, n=2, pool_bound=10 ** 6,
+                                                      budget=phisigma.configs.DEFAULT_BUDGET)
+    return (["theorem2", "--m", "1", "--r", "2"],
+            {"command": "theorem2", "base_m": 1, "r": 2, "found": True,
+             "stats": _stats_keys(stats), "l": l, "certificate": _certificate_keys(cert)})
+
+
+def _expect_corollary3_plan(_):
+    plan = phisigma.configs.corollary3_plan(6, table_bound=1000)
+    return (["corollary3-plan", "--k", "6"],
+            {"command": "corollary3-plan", "k": plan.k, "prime_factor": plan.prime_factor,
+             "multiplier_r": plan.multiplier_r, "base_m": plan.base_m,
+             "base_multiplicity": plan.base_multiplicity, "invocation": plan.invocation})
+
+
+def _expect_sieve_count(_):
+    report = phisigma.sievelab.count_shifted_almost_primes(10 ** 4, Fraction(1, 8), 1)
+    return (["sieve-count", "--x", "1e4", "--a", "1"],
+            {"command": "sieve-count", "x": 10 ** 4, "a": 1, "alpha": "1/8",
+             "count": report.count, "normalized_ratio": report.normalized_ratio,
+             "reference_constant": report.reference_constant})
+
+
+def _expect_prime_pairs(_):
+    return (["prime-pairs", "--k", "2", "--x", "100"],
+            {"command": "prime-pairs", "k": 2, "x": 100,
+             "count": phisigma.sievelab.count_prime_pairs(2, 100)})
+
+
+def _expect_l_value(_):
+    value = phisigma.sievelab.l_value([3, 5, 11])
+    return (["l-value", "3", "5", "11"],
+            {"command": "l-value", "primes": [3, 5, 11], "numerator": value.numerator,
+             "denominator": value.denominator, "value": float(value)})
+
+
+def _expect_ratio_sum(_):
+    report = phisigma.sievelab.ratio_power_sum(2.0, 1000, prime_cutoff=100)
+    return (["ratio-sum", "--beta", "2", "--x", "1000", "--cutoff", "100"],
+            {"command": "ratio-sum", "beta": 2.0, "x": 1000, "sum": report.sum,
+             "c_beta": report.c_beta, "prime_cutoff": 100,
+             "tail_factor_bound": report.tail_factor_bound})
+
+
+def _expect_lemma3_constant(_):
+    return (["lemma3-constant", "--alpha", "2/16"],
+            {"command": "lemma3-constant", "alpha": "1/8",
+             "constant": phisigma.sievelab.lemma3_reference_constant(Fraction(1, 8))})
+
+
+EXPECTED_PAYLOADS = {
+    "inverse": _expect_inverse, "multiplicity": _expect_multiplicity,
+    "table": _expect_table, "min-m": _expect_min_m,
+    "verify-config": _expect_verify_config, "search-config": _expect_search_config,
+    "certify": _expect_certify, "theorem2": _expect_theorem2,
+    "corollary3-plan": _expect_corollary3_plan, "sieve-count": _expect_sieve_count,
+    "prime-pairs": _expect_prime_pairs, "l-value": _expect_l_value,
+    "ratio-sum": _expect_ratio_sum, "lemma3-constant": _expect_lemma3_constant,
+}
+
+
+def test_every_subcommand_has_a_payload_test():
+    assert set(EXPECTED_PAYLOADS) == set(cli.build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(EXPECTED_PAYLOADS))
+def test_payload_keys_and_values(tmp_path, capsys, command, fmt):
+    paths = {"good": str(tmp_path / "good.json"), "bad": str(tmp_path / "bad.json")}
+    save_config(build_config(SIGMA_R2_MATRIX, "sigma"), paths["good"])
+    save_config(build_config([[11, 13], [17, 19]], "sigma"), paths["bad"])
+    argv, expected = EXPECTED_PAYLOADS[command](paths)
+    code, out, err = run_main(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    if isinstance(expected, list):  # a row stream
+        assert out == _old_rows(expected, list(expected[0]), fmt)
+    else:
+        assert out == _old_rows([expected], sorted(expected), fmt)

@@ -158,6 +158,28 @@ def test_ratio_power_sum_domain_errors():
         ratio_power_sum(1.0, 100, prime_cutoff=1)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, 700.0, 2000.0, 1e300])
+def test_ratio_power_sum_rejects_non_finite_beta_and_results(beta):
+    # 2000 overflowed in the power itself, 700 made c_beta infinite; nan and
+    # inf went through and came back as nan or inf
+    with pytest.raises(DomainError, match="beta"):
+        ratio_power_sum(beta, 1000)
+    assert math.isfinite(ratio_power_sum(300.0, 1000).c_beta)
+
+
+def test_ratio_power_sum_rejects_an_infinite_sum(monkeypatch):
+    # With no primes in the product c_beta stays 1, so only the sum can
+    # overflow: 3**700 is past the float range.  The phi sieve asks for its
+    # own, smaller, prime bound and still gets its primes.
+    import phisigma.sieves
+
+    real = phisigma.sieves.primes_upto
+    monkeypatch.setattr(phisigma.sieves, "primes_upto", lambda n: real(1 if n == 10 ** 5 else n))
+    assert ratio_power_sum(2.0, 6).c_beta == 1.0
+    with pytest.raises(DomainError, match="the sum is not a finite float"):
+        ratio_power_sum(700.0, 6)
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
 def test_ratio_power_sum_is_one_fsum_of_the_terms(beta):
     # The same float expression on one dense array: numpy's elementwise
