@@ -11,10 +11,25 @@ Brent's rho with a deterministic trial-division fallback, which refuses
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, DomainError
+
+
+def exact_int(value, what: str) -> int:
+    """value as an int; floats, strings and bools are refused, not converted.
+
+    >>> exact_int(7, "entry")
+    7
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 def _small_sieve(limit: int) -> list[int]:
@@ -307,6 +322,8 @@ def iroot(n: int, k: int) -> int:
         raise DomainError(f"iroot needs n >= 0 and k >= 1, got {n}, {k}")
     if n == 0:
         return 0
+    if n.bit_length() <= k:  # 1 <= n < 2**k, without building 2**k
+        return 1
     if k == 1:
         return n
     if k == 2:

@@ -15,9 +15,10 @@ objects.  Commands with no result dataclass spell out their few keys.
 
 Exit codes: 0 success (including "absent" search results), 2 invalid
 input (an unreadable config file or --out path too), 3 capacity exceeded,
-4 certification failure.  Output is JSON objects (one per line for row
-streams) or CSV with a header row; payloads carry no timestamps, so
-identical invocations produce identical bytes.
+4 certification failure, 141 (silently) when the reader closes stdout
+early.  Output is JSON objects (one per line for row streams) or CSV with
+a header row; payloads carry no timestamps, so identical invocations
+produce identical bytes.
 
 No module imported here loads numpy at import time, so only the commands
 that sieve or build tables pay for it; inverse, multiplicity, verify-config,
@@ -34,6 +35,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import sys
 from decimal import Decimal
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_CERTIFICATION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 ROW_CHUNK = 1 << 16  # rows per write of a streamed table
 
@@ -249,8 +252,8 @@ def _verify_config(args) -> dict:
 
 def _search_config(args) -> dict:
     configs = _configs()
-    cfg, stats = configs.search_config("phi" if args.lemma == "1" else "sigma", args.r,
-                                       args.n, args.pool, _budget(args, configs),
+    cfg, stats = configs.search_config(configs.LEMMA_KINDS[args.lemma], args.r, args.n,
+                                       args.pool, _budget(args, configs),
                                        seed=args.seed, base_m=args.base_m)
     payload = {"found": cfg is not None, "stats": _fields(stats)}
     if cfg is not None:
@@ -318,6 +321,7 @@ _COMMANDS = (
     _Command("verify-config", "run all condition checks on a config file", _verify_config,
              (("file", {}),)),
     _Command("search-config", "seeded search for a passing configuration", _search_config,
+             # the keys of configs.LEMMA_KINDS, spelled out so --help needs no configs
              (("--lemma", {"choices": ("1", "2"), "required": True}), ("--r", _NAT_REQUIRED),
               _N, ("--pool", _NAT_REQUIRED), ("--base-m", {**_NAT, "default": 1}), _BUDGET,
               _SEED, ("--out", {"help": "write the found config to this file"}))),
@@ -374,6 +378,7 @@ def main(argv=None) -> int:
             _emit_record({"command": args.command, **result}, args.format, sys.stdout)
         else:
             _emit_rows(*result, args.format, sys.stdout)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return EXIT_OK
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -392,6 +397,11 @@ def main(argv=None) -> int:
         }, args.format, sys.stdout)
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    except BrokenPipeError:
+        # the reader stopped early: nothing to report, and what is still
+        # buffered goes to devnull so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -11,24 +11,30 @@ checks pins the preimage count of its target exactly:
               where base_k is the phi-multiplicity of base_m;
   sigma kind: sigma-multiplicity of 2**r * t is r.
 
-The certifier re-derives the count by exhaustive preimage enumeration and
+PrimeConfig stores the kind, the matrix and base_m, and computes base_k once;
+r, n, q and t are derived from the matrix.  The index pairs admit exactly r
+perfect matchings of rows onto columns, the identity and the transpositions
+of row 1 with another row, so they are written down, not searched for.  The
+certifier re-derives the count by exhaustive preimage enumeration and
 refuses to emit a certificate on any disagreement.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 import random
-from dataclasses import dataclass
-from itertools import combinations, permutations
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 from math import prod
 
 from . import arith
 from .errors import CertificationError, DomainError
-from .preimages import PreimageSet, multiplicity, phi_preimages, sigma_preimages
+from .preimages import (PreimageSet, minimal_m_with_multiplicity, multiplicity,
+                        phi_preimages, sigma_preimages)
 
-KINDS = ("phi", "sigma")
+LEMMA_KINDS = {"1": "phi", "2": "sigma"}  # config-file "lemma" -> kind
+KINDS = tuple(LEMMA_KINDS.values())
 DEFAULT_BUDGET = 200_000
 
 
@@ -36,112 +42,86 @@ def _form_sign(kind: str) -> int:
     return 1 if kind == "phi" else -1
 
 
-def _integer(value, what: str) -> int:
-    """value as an int; floats, strings and bools are refused, not converted."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+def _base_multiplicity(kind: str, base_m: int) -> int | None:
+    """Check a kind and its base value; return base_k, the phi-multiplicity
+    of base_m for the phi kind and None for sigma, which fixes base_m = 1."""
+    if kind not in KINDS:
+        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+    if kind == "sigma":
+        if base_m != 1:
+            raise DomainError("sigma kind fixes base_m = 1")
+        return None
+    if base_m < 1:
+        raise DomainError(f"base value must be positive, got {base_m}")
+    k = multiplicity(base_m, "phi")
+    if k == 0:
+        raise DomainError(f"base value {base_m} has no phi-preimage")
+    return k
 
 
 @dataclass(frozen=True)
 class PrimeConfig:
-    """Validated r x n matrix of primes with derived row cofactors and product.
+    """Validated r x n matrix of distinct primes above 2**r * base_m + 1.
 
-    kind "phi" carries a base value base_m with known phi-multiplicity
-    base_k; kind "sigma" fixes base_m = 1 and base_k = None.
+    Stores only what cannot be derived: the kind, the matrix and the base
+    value base_m (1 for sigma).  base_k, the phi-multiplicity of base_m
+    (None for sigma), is computed on construction; r and n are read off the
+    matrix, and the row cofactors q and the product t are computed on first
+    use.
     """
 
     kind: str
-    r: int
-    n: int
     matrix: tuple[tuple[int, ...], ...]
-    q: tuple[int, ...]
-    t: int
     base_m: int
-    base_k: int | None
+    base_k: int | None = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "base_k", _base_multiplicity(self.kind, self.base_m))
         if self.r < 2 or self.n < 2:
             raise DomainError(f"matrix must be at least 2x2, got {self.r}x{self.n}")
-        if len(self.matrix) != self.r or any(len(row) != self.n for row in self.matrix):
-            raise DomainError("matrix shape disagrees with r and n")
+        if any(len(row) != self.n for row in self.matrix):
+            raise DomainError("matrix rows must all have the same length")
         entries = [p for row in self.matrix for p in row]
         if len(set(entries)) != len(entries):
             raise DomainError("matrix entries must be pairwise distinct")
-        if self.kind == "phi":
-            if self.base_m < 1:
-                raise DomainError(f"base value must be positive, got {self.base_m}")
-            bound = (1 << self.r) * self.base_m + 1
-        else:
-            if self.base_m != 1:
-                raise DomainError("sigma kind fixes base_m = 1")
-            if self.base_k is not None:
-                raise DomainError("sigma kind carries no base multiplicity")
-            bound = (1 << self.r) + 1
+        bound = (1 << self.r) * self.base_m + 1
         for p in entries:
             if p <= bound:
                 raise DomainError(f"entry {p} must exceed {bound}")
             if not arith.is_prime(p):
                 raise DomainError(f"entry {p} is not prime")
-        expect_q = tuple(prod(row[1:]) for row in self.matrix)
-        if self.q != expect_q:
-            raise DomainError(f"stored row cofactors {self.q} do not match {expect_q}")
-        if self.t != prod(entries):
-            raise DomainError("stored product t does not match the matrix")
-        if self.kind == "phi":
-            k = multiplicity(self.base_m, "phi")
-            if self.base_k != k:
-                raise DomainError(
-                    f"base multiplicity mismatch: stored {self.base_k}, computed {k}")
-            if k == 0:
-                raise DomainError(f"base value {self.base_m} has no phi-preimage")
+
+    @property
+    def r(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def n(self) -> int:
+        return len(self.matrix[0]) if self.matrix else 0
+
+    @cached_property
+    def q(self) -> tuple[int, ...]:
+        return tuple(prod(row[1:]) for row in self.matrix)
+
+    @cached_property
+    def t(self) -> int:
+        return prod(p for row in self.matrix for p in row)
 
     @property
     def target(self) -> int:
-        if self.kind == "phi":
-            return (1 << self.r) * self.t * self.base_m
-        return (1 << self.r) * self.t
+        return (1 << self.r) * self.t * self.base_m
 
     @property
     def predicted_multiplicity(self) -> int:
-        if self.kind == "phi":
-            return self.r * self.base_k
-        return self.r
+        return self.r if self.base_k is None else self.r * self.base_k
 
 
-def build_config(matrix, kind: str, base_m: int = 1,
-                 base_k: int | None = None) -> PrimeConfig:
-    """Validate a matrix of primes and derive q and t.
-
-    base_k is computed from base_m when not supplied (phi kind only).
-    """
-    rows = tuple(tuple(_integer(p, "matrix entry") for p in row) for row in matrix)
+def build_config(matrix, kind: str, base_m: int = 1) -> PrimeConfig:
+    """Validate a matrix of primes; base_k is computed from base_m."""
+    rows = tuple(tuple(arith.exact_int(p, "matrix entry") for p in row) for row in matrix)
     if not rows or not rows[0]:
         raise DomainError("matrix must be nonempty")
-    if kind == "phi" and base_k is None:
-        if base_m < 1:
-            raise DomainError(f"base value must be positive, got {base_m}")
-        base_k = multiplicity(base_m, "phi")
-    if kind == "sigma":
-        base_k = None
-        if base_m != 1:
-            raise DomainError("sigma kind fixes base_m = 1")
-    entries = [p for row in rows for p in row]
-    return PrimeConfig(
-        kind=kind,
-        r=len(rows),
-        n=len(rows[0]),
-        matrix=rows,
-        q=tuple(prod(row[1:]) for row in rows),
-        t=prod(entries),
-        base_m=base_m,
-        base_k=base_k,
-    )
+    return PrimeConfig(kind, rows, base_m)
 
 
 def condition_index_set(r: int) -> tuple[tuple[int, int], ...]:
@@ -222,11 +202,13 @@ def check_condition_i(cfg: PrimeConfig) -> ConditionIResult:
     return ConditionIResult(passed, forms, duplicate is None, duplicate, overlap)
 
 
+def _t_factors(cfg: PrimeConfig) -> tuple[tuple[int, int], ...]:
+    """t's prime factors: every matrix entry to the first power, ascending."""
+    return tuple((p, 1) for p in sorted(p for row in cfg.matrix for p in row))
+
+
 def _target_factorization(cfg: PrimeConfig) -> arith.PrimeFactorization:
-    # 2**r * t with every matrix entry appearing to the first power
-    primes = sorted(p for row in cfg.matrix for p in row)
-    value = (1 << cfg.r) * cfg.t
-    return arith.PrimeFactorization(value, ((2, cfg.r),) + tuple((p, 1) for p in primes))
+    return arith.PrimeFactorization((1 << cfg.r) * cfg.t, ((2, cfg.r),) + _t_factors(cfg))
 
 
 def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
@@ -253,8 +235,7 @@ def check_condition_iii(cfg: PrimeConfig) -> ConditionIIIResult:
     d2 | 2**(r-1) * base_m, except values literally listed by condition (i)."""
     sign = _form_sign(cfg.kind)
     exempt = {form_value(cfg, i, j) for i, j in condition_index_set(cfg.r)}
-    t_fact = arith.PrimeFactorization(
-        cfg.t, tuple((p, 1) for p in sorted(p for row in cfg.matrix for p in row)))
+    t_fact = arith.PrimeFactorization(cfg.t, _t_factors(cfg))
     cof = (1 << (cfg.r - 1)) * cfg.base_m
     d2s = arith.divisors(arith.factorize(cof))
     examined = 0
@@ -286,15 +267,15 @@ def enumerate_matchings(r: int) -> tuple[tuple[int, ...], ...]:
     """Perfect matchings of rows onto columns along allowed edges.
 
     Edges are the condition index pairs; a matching is returned as a tuple
-    sigma with sigma[i] the 0-based column matched to row i.  There are
-    exactly r of them: the identity and the transpositions swapping row 1
-    with another row.
+    sigma with sigma[i] the 0-based column matched to row i.  Row i > 1 may
+    only take column 1 or its own, so once row 1 takes column j the rest is
+    forced: there are exactly r matchings, the identity (j = 1) and the
+    transpositions of rows 1 and j, listed in lexicographic order.
     """
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    allowed = {(i - 1, j - 1) for i, j in condition_index_set(r)}
-    return tuple(per for per in permutations(range(r))
-                 if all((i, per[i]) in allowed for i in range(r)))
+    return tuple(tuple(j if i == 0 else 0 if i == j else i for i in range(r))
+                 for j in range(r))
 
 
 def count_matchings(r: int) -> int:
@@ -370,22 +351,12 @@ def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
     whose required forms are all prime before running the remaining checks.
     Returns (config, stats); config is None when the budget runs out.
     """
-    if kind not in KINDS:
-        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+    _base_multiplicity(kind, base_m)
     if r < 2 or n < 2:
         raise DomainError(f"need r >= 2 and n >= 2, got r={r}, n={n}")
     if budget < 0:
         raise DomainError(f"budget must be nonnegative, got {budget}")
-    if kind == "phi":
-        if base_m < 1:
-            raise DomainError(f"base value must be positive, got {base_m}")
-        if multiplicity(base_m, "phi") == 0:
-            raise DomainError(f"base value {base_m} has no phi-preimage")
-        lower = (1 << r) * base_m + 1
-    else:
-        if base_m != 1:
-            raise DomainError("sigma kind fixes base_m = 1")
-        lower = (1 << r) + 1
+    lower = (1 << r) * base_m + 1
     if pool_bound <= lower:
         raise DomainError(
             f"pool bound {pool_bound} is below the 2^r floor {lower + 1}: matrix primes "
@@ -446,19 +417,16 @@ def _assemble_and_check(kind, r, base_m, cols, q_tuples, masks, stats, budget):
                 inter_all &= masks[j]
             if not inter_all:
                 continue
-            chosen: list[int] = []
-            b1 = (inter_all & -inter_all).bit_length() - 1
-            chosen.append(b1)
-            ok = True
+            used = inter_all & -inter_all  # the chosen columns, as bits
+            chosen = [used.bit_length() - 1]
             for j in others:
-                avail = masks[j1] & masks[j]
-                for b in chosen:
-                    avail &= ~(1 << b)
+                avail = masks[j1] & masks[j] & ~used
                 if not avail:
-                    ok = False
                     break
-                chosen.append((avail & -avail).bit_length() - 1)
-            if not ok:
+                low = avail & -avail
+                chosen.append(low.bit_length() - 1)
+                used |= low
+            if len(chosen) < r:
                 continue
             matrix = [(cols[chosen[i]],) + q_tuples[js[i]] for i in range(r)]
             stats.assembled += 1
@@ -493,14 +461,9 @@ def theorem2_search(m: int, r: int, n: int = 2, pool_bound: int = 10 ** 6,
     l = 2**r * t and the certificate covers the claim.  r = 1 is satisfied
     by l = 1 with no search.
     """
-    if m < 1:
-        raise DomainError(f"base value must be positive, got {m}")
+    k = _base_multiplicity("phi", m)
     if r < 1:
         raise DomainError(f"need r >= 1, got {r}")
-    k = multiplicity(m, "phi")
-    if k == 0:
-        raise DomainError(
-            f"phi-multiplicity of {m} is 0; scaling it cannot reach a positive count")
     if r == 1:
         cert = Certificate(None, m, k, phi_preimages(m), ())
         return 1, cert, SearchStats(found=True)
@@ -530,7 +493,6 @@ def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
         raise DomainError(f"plan requires an even k >= 2, got {k}")
     p = arith.factorize(k).smallest_prime_factor
     r = k // p
-    from .preimages import minimal_m_with_multiplicity
     rec = minimal_m_with_multiplicity(p, "phi", table_bound)
     if rec.minimal_m is None:
         raise DomainError(
@@ -549,7 +511,7 @@ def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
 def config_to_payload(cfg: PrimeConfig) -> dict:
     """The file form of a configuration."""
     payload = {
-        "lemma": "1" if cfg.kind == "phi" else "2",
+        "lemma": {kind: lemma for lemma, kind in LEMMA_KINDS.items()}[cfg.kind],
         "r": cfg.r,
         "n": cfg.n,
         "matrix": [list(row) for row in cfg.matrix],
@@ -564,16 +526,17 @@ def config_from_payload(payload: dict) -> PrimeConfig:
     if not isinstance(payload, dict):
         raise DomainError("config file must hold a single object")
     lemma = payload.get("lemma")
-    if lemma not in ("1", "2"):
+    if not isinstance(lemma, str) or lemma not in LEMMA_KINDS:
         raise DomainError(f'config "lemma" must be "1" or "2", got {lemma!r}')
-    kind = "phi" if lemma == "1" else "sigma"
+    kind = LEMMA_KINDS[lemma]
     matrix = payload.get("matrix")
     if not isinstance(matrix, list) or not all(isinstance(row, list) for row in matrix):
         raise DomainError('config "matrix" must be a list of rows')
-    base_m = _integer(payload.get("base_m", 1), 'config "base_m"')
+    base_m = arith.exact_int(payload.get("base_m", 1), 'config "base_m"')
     cfg = build_config(matrix, kind, base_m=base_m)
     for key in ("r", "n"):
-        if key in payload and _integer(payload[key], f'config "{key}"') != getattr(cfg, key):
+        if key in payload and (arith.exact_int(payload[key], f'config "{key}"')
+                               != getattr(cfg, key)):
             raise DomainError(
                 f'config "{key}" is {payload[key]}, matrix implies {getattr(cfg, key)}')
     return cfg

@@ -17,6 +17,9 @@ from itertools import chain
 from . import arith
 from .errors import CapacityError, DomainError
 
+# ceiling on the bits of x ** alpha.numerator, which the factor-size test builds
+_POWER_BITS_CAPACITY = 1 << 16
+
 
 @dataclass(frozen=True)
 class AlmostPrimeCount:
@@ -35,7 +38,9 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
     """Exact count via a prime sieve on (x/2, x] and a smallest-factor table.
 
     The factor-size test is exact: p > x**(num/den) iff p**den > x**num iff
-    p > iroot(x**num, den).
+    p > iroot(x**num, den).  x**num is built exactly, so an alpha whose
+    numerator would take it past _POWER_BITS_CAPACITY bits raises
+    CapacityError before any sieving.
     """
     import numpy as np
 
@@ -50,6 +55,10 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if x > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
+    if alpha.numerator * x.bit_length() > _POWER_BITS_CAPACITY:
+        raise CapacityError(
+            f"x ** {alpha.numerator} would exceed {_POWER_BITS_CAPACITY} bits; "
+            f"use an alpha with a smaller numerator")
     spf = spf_table((x + 1) // 2)
     u = (np.array(sieve_range(x // 2 + 1, x), dtype=np.int64) - a) // 2
     least = spf[u]
@@ -106,7 +115,7 @@ def l_value(primes) -> Fraction:
     >>> l_value((3, 5, 7))
     Fraction(8, 1)
     """
-    ps = [int(p) for p in primes]
+    ps = [arith.exact_int(p, "entry") for p in primes]
     if len(set(ps)) != len(ps):
         raise DomainError("entries must be distinct (a zero difference has no totient)")
     for p in ps:

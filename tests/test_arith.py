@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -225,3 +226,21 @@ def test_trial_division_fallback_ceiling(monkeypatch):
     assert arith._find_nontrivial_factor(991 * 1009) == 991  # 999,919: below it
     with pytest.raises(CapacityError, match="^failed to factor"):
         arith._find_nontrivial_factor(1009 * 1013)  # 1,022,117: above it
+
+
+def test_iroot_small_values_by_brute_force():
+    for n in range(300):
+        for k in range(1, 13):
+            want = max(x for x in range(n + 1) if x ** k <= n)
+            assert iroot(n, k) == want, (n, k)
+
+
+def test_iroot_exponent_beyond_bit_length_is_immediate():
+    # 1 <= n < 2**k has root 1; 2**(k-1) must not be built on the way there
+    assert iroot(2 ** 20 - 1, 20) == 1
+    assert iroot(2 ** 20, 20) == 2
+    assert iroot(1, 1) == 1
+    start = time.perf_counter()
+    assert iroot(10 ** 6, 10 ** 8) == 1
+    assert iroot(3, 10 ** 8 + 1) == 1
+    assert time.perf_counter() - start < 0.5

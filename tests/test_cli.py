@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -270,6 +271,30 @@ def test_capacity_exit_code(capsys):
                             "--k", "1..1", "--bound", "1e5")
     assert code == 3
     assert "capacity" in err.lower()
+
+
+def test_sieve_count_alpha_numerator_capacity_exit_code(capsys):
+    code, out, err = run_main(capsys, "sieve-count", "--x", "1e6", "--a", "-1",
+                              "--alpha", "1000001/8000000")
+    assert code == 3 and out == ""
+    assert err.startswith("capacity error:")
+
+
+@pytest.mark.parametrize("args, read", [
+    (("table", "--map", "sigma", "--bound", "300000"), 100),  # fails mid-stream
+    (("inverse", "phi", "4"), 0),  # one buffered record, fails at its flush
+])
+def test_closed_stdout_exits_quietly(args, read):
+    # a reader that stops early is neither invalid input nor worth a message;
+    # stdout is block-buffered, as it is by default on a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "phisigma.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_certification_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -362,3 +362,75 @@ def test_checker_against_oracle_seeded_sample():
     for _ in range(60):
         cfg = _random_config(rng)
         assert check_condition_i(cfg).passed == _oracle_cond_i(cfg), cfg.matrix
+
+
+def test_prime_config_stores_only_what_it_cannot_derive():
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(PrimeConfig) if f.init] == [
+        "kind", "matrix", "base_m"]
+    cfg = PrimeConfig("phi", PHI_R2_MATRIX, 1)
+    assert cfg == build_config(PHI_R2_MATRIX, "phi")
+    assert cfg.base_k == multiplicity(1, "phi")
+    assert (cfg.r, cfg.n) == (2, 2)
+    assert cfg.q == tuple(row[1] for row in PHI_R2_MATRIX)
+    assert cfg.t == math.prod(p for row in PHI_R2_MATRIX for p in row)
+    assert PrimeConfig("sigma", SIGMA_R2_MATRIX, 1).base_k is None
+    with pytest.raises(TypeError):
+        PrimeConfig("sigma", SIGMA_R2_MATRIX, 1, None)
+    with pytest.raises(DomainError, match="at least 2x2"):
+        PrimeConfig("sigma", (), 1)
+
+
+# (search arguments, expected matrix or None, expected SearchStats fields);
+# any change to sampling, probing or assembly order moves these.
+SEARCH_PINS = [
+    (("phi", 3, 2, 10 ** 6, 30000, 0, 1),
+     ((299521, 189353), (166471, 655103), (730111, 866513)),
+     dict(probes=15177, rounds=4, assembled=223, cond_i_rejects=0,
+          cond_ii_rejects=0, cond_iii_rejects=222, found=True)),
+    (("phi", 2, 2, 10 ** 5, 30000, 0, 2),
+     ((44483, 12373), (82787, 11173)),
+     dict(probes=3484, rounds=1, assembled=50, cond_i_rejects=0,
+          cond_ii_rejects=0, cond_iii_rejects=49, found=True)),
+    (("sigma", 3, 2, 10 ** 5, 30000, 1, 1),
+     None,
+     dict(probes=30000, rounds=9, assembled=669, cond_i_rejects=0,
+          cond_ii_rejects=0, cond_iii_rejects=669, found=False)),
+]
+
+
+@pytest.mark.parametrize("args, matrix, stats", SEARCH_PINS)
+def test_search_results_are_pinned(args, matrix, stats):
+    kind, r, n, pool, budget, seed, base_m = args
+    cfg, got = search_config(kind, r, n, pool, budget, seed=seed, base_m=base_m)
+    assert (cfg.matrix if cfg is not None else None) == matrix
+    assert vars(got) == stats
+
+
+@pytest.mark.parametrize("kind, base_m, message", [
+    ("tau", 1, "kind must be one of"),
+    ("sigma", 3, "sigma kind fixes base_m = 1"),
+    ("phi", 0, "base value must be positive, got 0"),
+    ("phi", 3, "base value 3 has no phi-preimage"),
+])
+def test_kind_and_base_rules_agree_everywhere(kind, base_m, message):
+    errors = []
+    for call in (lambda: build_config(SIGMA_R2_MATRIX, kind, base_m=base_m),
+                 lambda: search_config(kind, 2, 2, 10 ** 5, 1000, base_m=base_m)):
+        with pytest.raises(DomainError) as info:
+            call()
+        errors.append(str(info.value))
+    if kind == "phi":
+        with pytest.raises(DomainError) as info:
+            theorem2_search(base_m, 2, budget=1000)
+        errors.append(str(info.value))
+    assert errors[0].startswith(message)
+    assert len(set(errors)) == 1, errors
+
+
+def test_payload_rejects_unhashable_lemma():
+    payload = config_to_payload(build_config(SIGMA_R2_MATRIX, "sigma"))
+    payload["lemma"] = ["2"]
+    with pytest.raises(DomainError, match="lemma"):
+        config_from_payload(payload)

@@ -235,3 +235,26 @@ def test_prime_pairs_against_primes_upto():
     flags[primes_upto(x)] = True
     for k in (2, 4, 6, 30, 210):
         assert count_prime_pairs(k, x) == int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))
+
+
+def test_shifted_count_refuses_a_numerator_too_large_to_power():
+    # x ** 1000001 would hold 20 million bits; refused before any sieving
+    with pytest.raises(CapacityError, match="bits"):
+        count_shifted_almost_primes(10 ** 6, Fraction(1000001, 8000000), -1)
+
+
+def test_shifted_count_tiny_alpha():
+    # 200 ** alpha < 2 for both alphas, so every factor qualifies alike
+    tiny = count_shifted_almost_primes(200, Fraction(1, 10 ** 8), 1).count
+    assert tiny == count_shifted_almost_primes(200, Fraction(1, 9), 1).count
+    assert tiny == _naive_shifted_count(200, Fraction(1, 9), 1)
+
+
+@pytest.mark.parametrize("bad", [3.9, 5.0, True, "7"])
+def test_l_value_refuses_non_integers(bad):
+    with pytest.raises(DomainError, match="entry must be an integer"):
+        l_value((bad, 5, 7))
+
+
+def test_l_value_accepts_numpy_integers():
+    assert l_value(np.array([3, 5, 7], dtype=np.int64)) == Fraction(8)
