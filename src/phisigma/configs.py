@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
 
@@ -42,6 +42,7 @@ def _form_sign(kind: str) -> int:
     return 1 if kind == "phi" else -1
 
 
+@lru_cache(maxsize=256)  # a search builds many configs on one base value
 def _base_multiplicity(kind: str, base_m: int) -> int | None:
     """Check a kind and its base value; return base_k, the phi-multiplicity
     of base_m for the phi kind and None for sigma, which fixes base_m = 1."""

@@ -16,9 +16,7 @@ multiplicity_table() runs the same knapsack over every m <= B at once, in
 numpy: the multiplicities are the coefficients of a Dirichlet product over
 the primes, one factor (1 + sum of v**-s over the prime's block values v)
 per prime.  It imports numpy when it runs, so the per-target paths never
-load it.  Its capacity is stated as the scan over x that the table stands
-for: phi(x) >= sqrt(x/2) puts every phi-preimage of m below 2m**2, and
-sigma(x) >= x puts every sigma-preimage of m at most at m.
+load it.  Its capacity is the number of entries it holds, for either map.
 """
 
 from __future__ import annotations
@@ -35,9 +33,15 @@ from .errors import CapacityError, DomainError
 if TYPE_CHECKING:
     import numpy as np
 
-SCAN_CAPACITY = 2 * 10 ** 8  # largest x-range a table may stand for: 2*B**2 (phi), B (sigma)
+SCAN_CAPACITY = 2 * 10 ** 8  # most entries a multiplicity table may hold
 ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may build
 _FIRST_CHUNK = 1 << 20  # table entries per step of minimal_m_by_multiplicity
+_FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
+# int32 counts halve the memory traffic of the strided adds, and are exact for
+# a table bound B below this: a sigma-preimage x of m <= B is <= B, because
+# sigma(x) >= x; for phi, x/phi(x) < 8 unless x has at least 22 distinct
+# primes, and then phi(x) >= prod_{p<=79} (p-1) ~ 4.0e29.  So x < 8B <= 2**31.
+_INT32_BOUND = 2 ** 28
 
 _KINDS = ("phi", "sigma")
 
@@ -219,9 +223,8 @@ def multiplicity_table(map_kind: str, m_bound: int,
       so at most one such prime divides any preimage: each m = v*j gains the
       small-prime count of j.
 
-    The work depends on m_bound only.  scan_capacity bounds the scan over x
-    the table stands for (x <= 2*m_bound**2 for phi, x <= m_bound for sigma)
-    and is checked before any work, so the phi variant hits it much earlier.
+    The work depends on m_bound only, so scan_capacity bounds m_bound, for
+    either map, before any work.
     """
     import numpy as np
 
@@ -230,14 +233,9 @@ def multiplicity_table(map_kind: str, m_bound: int,
     _check_kind(map_kind)
     if m_bound < 1:
         raise DomainError(f"table bound must be positive, got {m_bound}")
-    x_max = 2 * m_bound * m_bound if map_kind == "phi" else m_bound
-    if x_max > scan_capacity:
-        raise CapacityError(
-            f"table for bound {m_bound} ({map_kind}) needs a scan to {x_max}, "
-            f"over capacity {scan_capacity}")
-    # no count exceeds x_max, so int32 is exact below 2**31 and halves the
-    # memory traffic of the strided adds
-    counts = np.zeros(m_bound + 1, dtype=np.int32 if x_max < 2 ** 31 else np.int64)
+    if m_bound > scan_capacity:
+        raise CapacityError(f"table bound {m_bound} exceeds capacity {scan_capacity}")
+    counts = np.zeros(m_bound + 1, dtype=np.int32 if m_bound < _INT32_BOUND else np.int64)
     counts[1] = 1
     # the table's own capacity check covers this prime table, which is smaller
     primes = primes_upto(m_bound + 1, span_capacity=m_bound + 1)
@@ -290,19 +288,19 @@ def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
                                 scan_capacity: int = SCAN_CAPACITY) -> MultiplicityRecord:
     """Smallest m <= scan_bound with multiplicity exactly k, from tables.
 
-    Builds multiplicity_table() over a prefix of m that grows by a factor of
-    4, so small answers stay cheap; the recomputation overhead is bounded by
-    a constant factor.  The sigma prefix starts at m <= 4096.  The phi
-    prefix starts at m <= 64, because each table is held to scan_capacity
-    as the scan to x <= 2*m**2 it stands for: a first bound of 4096 would
-    need a capacity of 3.4e7 even when the answer is m = 2.
+    Builds multiplicity_table() over a prefix of m that starts at m <= 64
+    and grows by a factor of 4, so small answers stay cheap; the
+    recomputation overhead is bounded by a constant factor.  scan_bound is
+    held to scan_capacity before any table is built.
     """
     if k < 0:
         raise DomainError(f"multiplicity must be nonnegative, got {k}")
     _check_kind(map_kind)
     if scan_bound < 1:
         raise DomainError(f"scan bound must be positive, got {scan_bound}")
-    bound = min(64 if map_kind == "phi" else 4096, scan_bound)
+    if scan_bound > scan_capacity:
+        raise CapacityError(f"table bound {scan_bound} exceeds capacity {scan_capacity}")
+    bound = min(_FIRST_BOUND, scan_bound)
     while True:
         first = minimal_m_by_multiplicity(multiplicity_table(map_kind, bound, scan_capacity))
         minimal = first[k] if k < len(first) else None

@@ -63,7 +63,7 @@ def primes_upto(n: int, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> np.ndarra
     return np.flatnonzero(_prime_flags(n)).astype(np.int64, copy=False)
 
 
-def sieve_range(lo: int, hi: int, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> list[int]:
+def sieve_range(lo: int, hi: int) -> list[int]:
     """Primes in the closed interval [lo, hi], ascending.
 
     >>> sieve_range(10, 30)
@@ -76,8 +76,8 @@ def sieve_range(lo: int, hi: int, span_capacity: int = DEFAULT_SPAN_CAPACITY) ->
         return []
     if hi > MAX_SIEVE_POINT:
         raise CapacityError(f"sieve endpoint {hi} exceeds {MAX_SIEVE_POINT}")
-    if hi - lo + 1 > span_capacity:
-        raise CapacityError(f"sieve span {hi - lo + 1} exceeds capacity {span_capacity}")
+    if hi - lo + 1 > DEFAULT_SPAN_CAPACITY:
+        raise CapacityError(f"sieve span {hi - lo + 1} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     base = primes_upto(math.isqrt(hi))
     out: list[int] = []
     for start in range(lo, hi + 1, SEGMENT):
@@ -180,6 +180,8 @@ def _iter_blocks(kind: str, lo: int, hi: int,
                  block: int | None) -> Iterator[tuple[int, np.ndarray]]:
     if lo < 0 or hi < lo:
         raise DomainError(f"bad block range [{lo}, {hi}]")
+    if block is not None and block < 1:
+        raise DomainError(f"block size must be positive, got {block}")
     if hi > MAX_SIEVE_POINT:
         raise CapacityError(f"block scan endpoint {hi} exceeds {MAX_SIEVE_POINT}")
     base = primes_upto(math.isqrt(hi)) if hi >= 4 else np.empty(0, dtype=np.int64)

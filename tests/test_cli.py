@@ -267,10 +267,17 @@ def test_corollary3_plan_payload(capsys):
 
 
 def test_capacity_exit_code(capsys):
-    code, _, err = run_main(capsys, "table", "--map", "phi",
-                            "--k", "1..1", "--bound", "1e5")
-    assert code == 3
-    assert "capacity" in err.lower()
+    # the ceiling is the table's bound for either map, checked before any work
+    code, out, _ = run_main(capsys, "table", "--map", "phi", "--k", "1..1", "--bound", "1e5")
+    assert code == 0 and json.loads(out) == {"k": 1, "minimal_m": None, "scan_bound": 100000}
+    for argv in (("table", "--map", "phi", "--bound", "3e8"),
+                 ("table", "--map", "sigma", "--bound", "3e8"),
+                 ("min-m", "--map", "phi", "--k", "2", "--bound", "3e8"),
+                 ("table", "--map", "phi", "--bound", "101", "--capacity", "100")):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 3 and out == "", argv
+        bound = "101" if "--capacity" in argv else "300000000"
+        assert err.startswith(f"capacity error: table bound {bound} exceeds capacity"), argv
 
 
 def test_sieve_count_alpha_numerator_capacity_exit_code(capsys):

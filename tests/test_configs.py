@@ -434,3 +434,14 @@ def test_payload_rejects_unhashable_lemma():
     payload["lemma"] = ["2"]
     with pytest.raises(DomainError, match="lemma"):
         config_from_payload(payload)
+
+
+def test_search_counts_base_multiplicity_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(configs, "multiplicity",
+                        lambda m, kind: calls.append(m) or multiplicity(m, kind))
+    configs._base_multiplicity.cache_clear()
+    cfg, stats = search_config("phi", 2, 2, 10 ** 5, 20000, seed=0, base_m=2)
+    configs._base_multiplicity.cache_clear()  # holds no count from the patched function
+    assert stats.assembled > 1 and cfg is not None
+    assert calls == [2]

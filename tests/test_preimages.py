@@ -11,6 +11,7 @@ import phisigma.preimages
 from phisigma.arith import divisors, euler_phi, sigma
 from phisigma.errors import CapacityError, DomainError
 from phisigma.preimages import (
+    SCAN_CAPACITY,
     minimal_m_by_multiplicity,
     minimal_m_with_multiplicity,
     multiplicity,
@@ -142,8 +143,31 @@ def test_multiplicity_table_matches_per_value():
 
 
 def test_multiplicity_table_capacity_guard():
-    with pytest.raises(CapacityError):
-        multiplicity_table("phi", 10 ** 5)
+    # one ceiling for both maps: the table's bound, checked before any work
+    for kind in ("phi", "sigma"):
+        with pytest.raises(CapacityError, match=f"table bound {SCAN_CAPACITY + 1} exceeds"):
+            multiplicity_table(kind, SCAN_CAPACITY + 1)
+        with pytest.raises(CapacityError, match="table bound 101 exceeds capacity 100"):
+            multiplicity_table(kind, 101, scan_capacity=100)
+    assert multiplicity_table("phi", 100, scan_capacity=100).shape == (101,)
+
+
+def test_minimal_m_checks_capacity_before_any_table(monkeypatch):
+    calls = []
+    monkeypatch.setattr(phisigma.preimages, "multiplicity_table",
+                        lambda *args: calls.append(args))
+    for kind in ("phi", "sigma"):
+        with pytest.raises(CapacityError, match=f"table bound {SCAN_CAPACITY + 1} exceeds"):
+            minimal_m_with_multiplicity(10 ** 5, kind, SCAN_CAPACITY + 1)
+    assert calls == []
+
+
+def test_default_capacity_admits_phi_table_to_20000():
+    # 2 * 20000**2 = 8e8 > SCAN_CAPACITY: the ceiling is on B, not on an x-range
+    table = multiplicity_table("phi", 20000)
+    rng = random.Random(8)
+    for m in list(range(1, 301)) + [rng.randrange(301, 20001) for _ in range(200)]:
+        assert table[m] == multiplicity(m, "phi"), m
 
 
 def test_minimal_m_examples():
@@ -256,6 +280,17 @@ def test_table_wide_counts_path():
     # and agrees with the int32 counts of a table whose scan stays below 2**31
     assert np.array_equal(multiplicity_table("phi", 30000, scan_capacity=10 ** 10),
                           table[:30001])
+
+
+def test_table_int64_counts_path(monkeypatch):
+    # below _INT32_BOUND the counts accumulate in int32; lowering it runs the
+    # int64 path, which must give the same tables
+    narrow = {(kind, b): multiplicity_table(kind, b) for kind in ("phi", "sigma")
+              for b in (1, 64, 5000)}
+    monkeypatch.setattr(phisigma.preimages, "_INT32_BOUND", 1)
+    for (kind, b), want in narrow.items():
+        got = multiplicity_table(kind, b)
+        assert got.dtype == np.int64 and np.array_equal(got, want), (kind, b)
 
 
 def test_minimal_m_phi_equals_sieved_table_scan():

@@ -9,7 +9,7 @@ import sympy
 
 import phisigma.sieves
 from phisigma.arith import euler_phi, is_prime, sigma
-from phisigma.errors import CapacityError
+from phisigma.errors import CapacityError, DomainError
 from phisigma.preimages import multiplicity_table
 from phisigma.sieves import (
     BLOCK_PER_BASE_PRIME,
@@ -42,6 +42,13 @@ def test_sieve_range_matches_filter():
         lo = rng.randrange(0, 10 ** 7)
         hi = lo + rng.randrange(1, 5000)
         assert sieve_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_block_iterators_reject_nonpositive_blocks():
+    for fn in (iter_phi_blocks, iter_sigma_blocks):
+        for block in (0, -5):
+            with pytest.raises(DomainError, match="block size must be positive"):
+                list(fn(100, block=block))
 
 
 def test_sieve_range_far_segment():
