@@ -3,9 +3,11 @@
 Everything here is deterministic.  Primality testing uses Miller-Rabin with
 witness sets that are proven complete below known thresholds; above the
 largest threshold a Pocklington n-1 proof is constructed instead of
-accepting a probabilistic answer.  Factorization uses trial division and
-Brent's rho with a deterministic trial-division fallback, which refuses
-(CapacityError) a cofactor above TRIAL_DIVISION_CEILING.
+accepting a probabilistic answer.  There is one factoring loop,
+_prime_powers: trial division by the primes below 1000, then Brent's rho
+with a deterministic trial-division fallback, which refuses (CapacityError)
+a cofactor above TRIAL_DIVISION_CEILING.  factorize reads all of it; the
+Pocklington proof leaves it as soon as its factored part is large enough.
 """
 
 from __future__ import annotations
@@ -103,44 +105,20 @@ def _pocklington_certified(n: int) -> bool:
 
     Requires a fully factored divisor F of n-1 with (F+1)^2 > n; then every
     prime divisor of n is 1 mod F, hence exceeds sqrt(n), hence n is prime.
-    A Fermat failure along the way disproves primality outright.
+    A Fermat failure along the way disproves primality outright.  F grows
+    along _prime_powers(n - 1) and the stream is left once F suffices; it
+    cannot run dry first, since F = n-1 at its end.  So the witness loop
+    visits a prefix of the primes of n-1 in stream order: the small primes
+    ascending, then the cofactor's primes in split order.
     """
     m = n - 1
-    found: list[int] = []  # distinct primes of m, in discovery order
-    rem = m
-    for p in _SMALL_PRIMES:
-        if rem % p == 0:
-            found.append(p)
-            while rem % p == 0:
-                rem //= p
-
-    def factored_part() -> int:
-        out = 1
-        for q in found:
-            t = m // q
-            out *= q
-            while t % q == 0:
-                t //= q
-                out *= q
-        return out
-
-    ffpart = factored_part()
-    pending = [rem] if rem > 1 else []
-    while (ffpart + 1) ** 2 <= n and pending:
-        c = pending.pop()
-        for q in found:
-            while c % q == 0:
-                c //= q
-        if c == 1:
-            continue
-        if is_prime(c):
-            found.append(c)
-            ffpart = factored_part()
-        else:
-            d = _find_nontrivial_factor(c)
-            pending.extend((d, c // d))
-    if (ffpart + 1) ** 2 <= n:
-        raise CapacityError(f"could not assemble a large enough factored part for {n}")
+    found: list[int] = []  # primes of m, in stream order
+    ffpart = 1
+    for q, e in _prime_powers(m):
+        found.append(q)
+        ffpart *= q ** e
+        if (ffpart + 1) ** 2 > n:
+            break
     for q in found:
         for a in _SMALL_PRIMES:
             if pow(a, m, n) != 1:
@@ -245,6 +223,44 @@ class PrimeFactorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _prime_powers(n: int):
+    """Yield (p, e) for each prime power p**e exactly dividing n >= 1.
+
+    First the primes below 1000, ascending, until p * p exceeds what is left
+    unfound; then the primes of the cofactor, in the order a LIFO stack of
+    _find_nontrivial_factor splits yields them.  A popped part is first cut
+    to its gcd with the unfound rest, so a prime shared by two split parts
+    (p*p*q split into p and p*q) is yielded once, with its full exponent.
+
+    >>> list(_prime_powers(720))
+    [(2, 4), (3, 2), (5, 1)]
+    """
+    rem = n
+    for p in _SMALL_PRIMES:
+        if p * p > rem:
+            break
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            yield p, e
+    stack = [rem]
+    while stack:
+        c = math.gcd(stack.pop(), rem)
+        if c == 1:
+            continue
+        if is_prime(c):
+            e = 0
+            while rem % c == 0:
+                rem //= c
+                e += 1
+            yield c, e
+        else:
+            d = _find_nontrivial_factor(c)
+            stack.extend((d, c // d))
+
+
 def factorize(n: int) -> PrimeFactorization:
     """Factor a positive integer into prime powers.
 
@@ -253,24 +269,7 @@ def factorize(n: int) -> PrimeFactorization:
     """
     if n < 1:
         raise DomainError(f"factorization requires a positive integer, got {n}")
-    counts: dict[int, int] = {}
-    rem = n
-    for p in _SMALL_PRIMES:
-        if p * p > rem:
-            break
-        while rem % p == 0:
-            rem //= p
-            counts[p] = counts.get(p, 0) + 1
-    if rem > 1:
-        stack = [rem]
-        while stack:
-            c = stack.pop()
-            if is_prime(c):
-                counts[c] = counts.get(c, 0) + 1
-            else:
-                d = _find_nontrivial_factor(c)
-                stack.extend((d, c // d))
-    return PrimeFactorization(n, tuple(sorted(counts.items())))
+    return PrimeFactorization(n, tuple(sorted(_prime_powers(n))))
 
 
 def euler_phi(f: PrimeFactorization | int) -> int:
@@ -297,7 +296,7 @@ def sigma(f: PrimeFactorization | int) -> int:
         f = factorize(f)
     out = 1
     for p, e in f.factors:
-        out *= (p ** (e + 1) - 1) // (p - 1)
+        out *= sigma_prime_power(p, e)
     return out
 
 

@@ -111,13 +111,10 @@ def _cell(value) -> str:
 
 
 def _emit_record(payload: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        keys = sorted(payload)
-        writer = csv.writer(out)
-        writer.writerow(keys)
-        writer.writerow([_cell(payload[k]) for k in keys])
+    """One payload as a one-row stream: the bytes of json.dumps(payload,
+    sort_keys=True), or a csv header and row in sorted key order."""
+    keys = sorted(payload)
+    _emit_rows([[[payload[k]] for k in keys]], keys, fmt, out)
 
 
 def _row_ranges(lo: int, hi: int):

@@ -431,11 +431,7 @@ def _assemble_and_check(kind, r, base_m, cols, q_tuples, masks, stats, budget):
                 continue
             matrix = [(cols[chosen[i]],) + q_tuples[js[i]] for i in range(r)]
             stats.assembled += 1
-            try:
-                cfg = build_config(matrix, kind, base_m=base_m)
-            except DomainError:
-                stats.cond_i_rejects += 1
-                continue
+            cfg = build_config(matrix, kind, base_m=base_m)
             rep_i = check_condition_i(cfg)
             if not rep_i.passed:
                 stats.cond_i_rejects += 1

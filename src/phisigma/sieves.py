@@ -38,7 +38,7 @@ SEGMENT = 1 << 22  # boolean sieve_range segment; also the value-block ceiling
 VALUE_BLOCK = 1 << 17  # int64 value block, sized for L2
 BLOCK_PER_BASE_PRIME = 64  # value block floor, per base prime
 DEFAULT_SPAN_CAPACITY = 2 * 10 ** 8
-MAX_SIEVE_POINT = 4 * 10 ** 16  # keeps base-prime sieves below the span cap
+MAX_SIEVE_POINT = DEFAULT_SPAN_CAPACITY ** 2  # keeps base-prime sieves below the span cap
 
 
 def _prime_flags(n: int) -> np.ndarray:
@@ -210,21 +210,20 @@ def iter_sigma_blocks(hi: int, lo: int = 1,
     return _iter_blocks("sigma", lo, hi, block)
 
 
-def phi_table(n: int) -> np.ndarray:
-    """Dense phi table for 0 <= x <= n (phi[0] = 0)."""
+def _dense_table(kind: str, n: int) -> np.ndarray:
     if n > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"dense phi table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
+        raise CapacityError(f"dense {kind} table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     out = np.zeros(n + 1, dtype=np.int64)
-    for start, vals in _iter_blocks("phi", 0, n, None):
+    for start, vals in _iter_blocks(kind, 0, n, None):
         out[start : start + vals.size] = vals
     return out
+
+
+def phi_table(n: int) -> np.ndarray:
+    """Dense phi table for 0 <= x <= n (phi[0] = 0)."""
+    return _dense_table("phi", n)
 
 
 def sigma_table(n: int) -> np.ndarray:
     """Dense sigma table for 0 <= x <= n (sigma[0] = 0)."""
-    if n > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"dense sigma table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    out = np.zeros(n + 1, dtype=np.int64)
-    for start, vals in _iter_blocks("sigma", 0, n, None):
-        out[start : start + vals.size] = vals
-    return out
+    return _dense_table("sigma", n)

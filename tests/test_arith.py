@@ -77,6 +77,35 @@ def test_factorize_prime_powers_and_smooth():
     assert f.factors == ((2, 10), (3, 5), (5, 3), (7, 1), (11, 1))
 
 
+def test_factorize_primes_shared_by_split_parts():
+    # p**2 * q may split into p and p * q: p then turns up in two parts and
+    # must be counted once, with its full exponent.
+    rng = random.Random(9)
+    for _ in range(6):
+        p, q, r = (int(sympy.nextprime(rng.randrange(1 << 20, 1 << 28))) for _ in range(3))
+        for n in (p ** 2 * q, p ** 3 * q ** 2 * r):
+            want = {int(a): e for a, e in sympy.factorint(n).items()}
+            assert factorize(n).factors == tuple(sorted(want.items())), n
+    n = (2 ** 31 - 1) ** 2 * (2 ** 61 - 1)
+    assert factorize(n).factors == ((2 ** 31 - 1, 2), (2 ** 61 - 1, 1))
+
+
+def test_pocklington_proof_stops_before_splitting_the_cofactor(monkeypatch):
+    # n - 1 = 2**k * p * q with 2**k > p * q: the power of 2 alone is a large
+    # enough factored part, so the 80-bit cofactor p * q is never split.
+    p = int(sympy.prevprime(1 << 40))
+    q = int(sympy.prevprime(p))
+    k = next(k for k in range(81, 400) if sympy.isprime((p * q << k) + 1))
+    n = (p * q << k) + 1
+
+    def refuse(c):
+        raise AssertionError(f"asked to split {c}")
+
+    monkeypatch.setattr(arith, "_find_nontrivial_factor", refuse)
+    is_prime.cache_clear()
+    assert is_prime(n)
+
+
 def test_factorization_record_validation():
     f = factorize(360)
     assert f.num_distinct_primes == 3
