@@ -6,8 +6,10 @@ largest threshold a Pocklington n-1 proof is constructed instead of
 accepting a probabilistic answer.  There is one factoring loop,
 _prime_powers: trial division by the primes below 1000, then Brent's rho
 with a deterministic trial-division fallback, which refuses (CapacityError)
-a cofactor above TRIAL_DIVISION_CEILING.  factorize reads all of it; the
-Pocklington proof leaves it as soon as its factored part is large enough.
+a cofactor above TRIAL_DIVISION_CEILING.  A rho walk moves to its next
+constant only when it cycles; one that spends _RHO_STEP_BUDGET steps raises
+CapacityError.  factorize reads all of the loop; the Pocklington proof
+leaves it as soon as its factored part is large enough.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ _TRIAL_PRIMES = tuple(p for p in _SMALL_PRIMES if p < 100)
 # Largest n the trial-division fallback of the factorizer takes on: dividing
 # up to its square root, 2**22, takes well under a second.
 TRIAL_DIVISION_CEILING = 1 << 44
+# Most steps one rho walk may take: 63 walks of 2**19 steps each, the work the
+# factorizer once spread over 63 fresh starts.
+_RHO_STEP_BUDGET = 63 << 19
 
 # Deterministic witness sets, each complete below its threshold.
 _MR_TIERS = (
@@ -154,11 +159,16 @@ def _find_nontrivial_factor(n: int) -> int:
     raise CapacityError(f"failed to factor composite {n}")
 
 
-def _brent_rho(n: int, c: int, max_rounds: int = 1 << 19) -> int | None:
+def _brent_rho(n: int, c: int) -> int | None:
+    """A nontrivial factor of n from the walk y -> y*y + c, or None when the
+    walk cycles; a walk still running after _RHO_STEP_BUDGET steps raises."""
     y, r, q, g = 2, 1, 1, 1
     x = ys = y
     count = 0
     while g == 1:
+        if count > _RHO_STEP_BUDGET:
+            raise CapacityError(f"failed to factor composite {n}: a rho walk found "
+                                f"no factor in {_RHO_STEP_BUDGET} steps")
         x = y
         for _ in range(r):
             y = (y * y + c) % n
@@ -172,8 +182,6 @@ def _brent_rho(n: int, c: int, max_rounds: int = 1 << 19) -> int | None:
             k += 128
         r <<= 1
         count += r
-        if count > max_rounds:
-            return None
     if g == n:
         g = 1
         for _ in range(1 << 16):
@@ -228,9 +236,11 @@ def _prime_powers(n: int):
 
     First the primes below 1000, ascending, until p * p exceeds what is left
     unfound; then the primes of the cofactor, in the order a LIFO stack of
-    _find_nontrivial_factor splits yields them.  A popped part is first cut
-    to its gcd with the unfound rest, so a prime shared by two split parts
-    (p*p*q split into p and p*q) is yielded once, with its full exponent.
+    _find_nontrivial_factor splits yields them, the factor found before the
+    part it was split from.  A popped part is first cut to its gcd with the
+    unfound rest, so a prime shared by two split parts (p*p*q split into p
+    and p*q) is yielded once, with its full exponent, and its other copies
+    are stripped from the rest before that is split again.
 
     >>> list(_prime_powers(720))
     [(2, 4), (3, 2), (5, 1)]
@@ -258,7 +268,7 @@ def _prime_powers(n: int):
             yield c, e
         else:
             d = _find_nontrivial_factor(c)
-            stack.extend((d, c // d))
+            stack.extend((c // d, d))
 
 
 def factorize(n: int) -> PrimeFactorization:
@@ -270,6 +280,11 @@ def factorize(n: int) -> PrimeFactorization:
     if n < 1:
         raise DomainError(f"factorization requires a positive integer, got {n}")
     return PrimeFactorization(n, tuple(sorted(_prime_powers(n))))
+
+
+# phi and sigma take their prime-power values by one Horner step:
+# v(p) = p + a, v(p**(j+1)) = v(p**j) * p + c, with (a, c) per map.
+_PRIME_POWER_RULE = {"phi": (-1, 0), "sigma": (1, 1)}
 
 
 def euler_phi(f: PrimeFactorization | int) -> int:

@@ -43,7 +43,7 @@ _FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
 # primes, and then phi(x) >= prod_{p<=79} (p-1) ~ 4.0e29.  So x < 8B <= 2**31.
 _INT32_BOUND = 2 ** 28
 
-_KINDS = ("phi", "sigma")
+_KINDS = tuple(arith._PRIME_POWER_RULE)
 
 
 def _check_kind(map_kind: str) -> None:
@@ -228,7 +228,7 @@ def multiplicity_table(map_kind: str, m_bound: int,
     """
     import numpy as np
 
-    from .sieves import primes_upto
+    from .sieves import _prime_flags
 
     _check_kind(map_kind)
     if m_bound < 1:
@@ -238,7 +238,7 @@ def multiplicity_table(map_kind: str, m_bound: int,
     counts = np.zeros(m_bound + 1, dtype=np.int32 if m_bound < _INT32_BOUND else np.int64)
     counts[1] = 1
     # the table's own capacity check covers this prime table, which is smaller
-    primes = primes_upto(m_bound + 1, span_capacity=m_bound + 1)
+    primes = np.flatnonzero(_prime_flags(m_bound + 1))
     split = int(np.searchsorted(primes, math.isqrt(m_bound) + 1, side="right"))
     for p in primes[:split].tolist():
         values = _small_prime_values(p, map_kind, m_bound)
@@ -246,7 +246,7 @@ def multiplicity_table(map_kind: str, m_bound: int,
             old = counts[: m_bound // values[0] + 1].copy()
             for v in values:
                 counts[v::v] += old[1 : m_bound // v + 1]
-    values = primes[split:] + (-1 if map_kind == "phi" else 1)
+    values = primes[split:] + arith._PRIME_POWER_RULE[map_kind][0]
     values = values[: np.searchsorted(values, m_bound, side="right")]
     if values.size:
         # every target index v*j lies above this prefix, so it is read unchanged
@@ -259,11 +259,12 @@ def multiplicity_table(map_kind: str, m_bound: int,
 
 def _small_prime_values(p: int, map_kind: str, m_bound: int) -> list[int]:
     """The block values of p up to m_bound, ascending: phi(p**a) or sigma(p**b)."""
+    a, c = arith._PRIME_POWER_RULE[map_kind]
     values = []
-    v = p - 1 if map_kind == "phi" else p + 1
+    v = p + a
     while v <= m_bound:
         values.append(v)
-        v = v * p if map_kind == "phi" else v * p + 1
+        v = v * p + c
     return values
 
 

@@ -10,19 +10,23 @@ range.  Two segment sizes serve two kinds of scan:
   prime hits the segment at most once, so those are struck together in one
   vector step.  Far from 0 (78,498 base primes near 10**12) a short window
   thus costs a few array operations, not a Python step per base prime.
-- The phi and sigma value blocks hold two or three int64 work arrays and
-  touch each entry once per prime power dividing it, so they run in
-  cache-sized blocks of VALUE_BLOCK = 2**17 entries (1 MB per array).  On
-  a 2-core Xeon with 2 MB of L2 per core that size was fastest, and 2**16
-  to 2**19 came within ~15% of it.  Far from 0 the per-block loop over the
-  base primes dominates instead (78,498 of them near 10**12), so a block
-  is never shorter than BLOCK_PER_BASE_PRIME entries per base prime, up to
-  SEGMENT entries.
+- The phi and sigma value blocks come from one kernel with three int64
+  work arrays (the values, the unfactored rest, and the value of the
+  current prime's part).  It touches each entry once per prime power
+  dividing it, so it runs in cache-sized blocks of VALUE_BLOCK = 2**17
+  entries (1 MB per array).  On a 2-core Xeon with 2 MB of L2 per core that
+  size was fastest, and 2**16 to 2**19 came within ~15% of it.  Far from 0
+  the per-block loop over the base primes dominates instead (78,498 of
+  them near 10**12), so a block is never shorter than BLOCK_PER_BASE_PRIME
+  entries per base prime, up to SEGMENT entries.
 
-The per-prime work of every block kernel runs on strided views (x[off::p])
-only; one boolean mask per block then handles the single prime factor
-above sqrt(x).  Values fit int64 throughout: tables are capped far below
-2**62, sigma(x) < 6x on the supported range, and no intermediate exceeds 2x.
+Both maps are multiplicative and differ only on prime powers, where each
+takes one Horner step, v(p) = p + a and v(p**(j+1)) = v(p**j) * p + c, with
+(a, c) = (-1, 0) for phi and (1, 1) for sigma (arith._PRIME_POWER_RULE).
+The kernel's per-prime work runs on strided views (x[off::p]) only; one
+boolean mask per block then handles the single prime factor above sqrt(x).
+Values fit int64 throughout: tables are capped far below 2**62,
+sigma(x) < 6x on the supported range, and no intermediate exceeds 2x.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .arith import _PRIME_POWER_RULE
 from .errors import CapacityError, DomainError
 
 SEGMENT = 1 << 22  # boolean sieve_range segment; also the value-block ceiling
@@ -52,12 +57,12 @@ def _prime_flags(n: int) -> np.ndarray:
     return flags
 
 
-def primes_upto(n: int, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> np.ndarray:
+def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array."""
     if n < 0:
         raise DomainError(f"prime bound must be nonnegative, got {n}")
-    if n > span_capacity:
-        raise CapacityError(f"dense prime table to {n} exceeds capacity {span_capacity}")
+    if n > DEFAULT_SPAN_CAPACITY:
+        raise CapacityError(f"dense prime table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(_prime_flags(n)).astype(np.int64, copy=False)
@@ -113,43 +118,16 @@ def spf_table(n: int) -> np.ndarray:
     return spf
 
 
-def _phi_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
-    """phi(x) for x in [start, stop); entries below 1 are set to 0."""
-    phi = np.arange(start, stop, dtype=np.int64)
-    rem = phi.copy()
-    for p in base:
-        p = int(p)
-        if p * p >= stop:
-            break
-        first = (start + p - 1) // p * p
-        if first >= stop:
-            continue
-        off = first - start
-        view = phi[off::p]
-        view -= view // p
-        pe = p
-        while pe < stop:
-            fs = (start + pe - 1) // pe * pe
-            if fs < stop:
-                rem[fs - start :: pe] //= p
-            pe *= p
-    big = rem > 1
-    phi[big] = phi[big] // rem[big] * (rem[big] - 1)
-    for k in range(start, min(stop, 1)):
-        phi[k - start] = 0
-    return phi
-
-
-def _sigma_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
-    """sigma(x) for x in [start, stop); entries below 1 are set to 0."""
+def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
+    """phi(x) or sigma(x) for x in [start, stop); entries below 1 are set to 0."""
+    a, c = _PRIME_POWER_RULE[kind]
     n = stop - start
-    sig = np.ones(n, dtype=np.int64)
+    val = np.ones(n, dtype=np.int64)
     rem = np.arange(start, stop, dtype=np.int64)
     if start == 0:
         rem[0] = 1
-    fac = np.empty(n, dtype=np.int64)  # sigma of the p-part, on the multiples of p
-    for p in base:
-        p = int(p)
+    fac = np.empty(n, dtype=np.int64)  # value of the p-part, on the multiples of p
+    for p in base.tolist():
         if p * p >= stop:
             break
         # start every stride at its modulus so the x = 0 entry is never divided
@@ -158,22 +136,23 @@ def _sigma_block(start: int, stop: int, base: np.ndarray) -> np.ndarray:
             continue
         off = first - start
         rem[off::p] //= p
-        fac[off::p] = p + 1
+        fac[off::p] = p + a
         pe = p * p
         while pe < stop:
             fs = max(pe, (start + pe - 1) // pe * pe)
             if fs < stop:
                 rem[fs - start :: pe] //= p
                 view = fac[fs - start :: pe]
-                view *= p  # Horner: sigma(p**j) = p * sigma(p**(j-1)) + 1
-                view += 1
+                view *= p  # Horner: v(p**j) = p * v(p**(j-1)) + c
+                if c:
+                    view += c
             pe *= p
-        sig[off::p] *= fac[off::p]
+        val[off::p] *= fac[off::p]
     big = rem > 1
-    sig[big] *= rem[big] + 1
+    val[big] *= rem[big] + a
     if start == 0:
-        sig[0] = 0
-    return sig
+        val[0] = 0
+    return val
 
 
 def _iter_blocks(kind: str, lo: int, hi: int,
@@ -187,10 +166,9 @@ def _iter_blocks(kind: str, lo: int, hi: int,
     base = primes_upto(math.isqrt(hi)) if hi >= 4 else np.empty(0, dtype=np.int64)
     if block is None:
         block = min(SEGMENT, max(VALUE_BLOCK, BLOCK_PER_BASE_PRIME * base.size))
-    fn = _phi_block if kind == "phi" else _sigma_block
     for start in range(lo, hi + 1, block):
         stop = min(start + block, hi + 1)
-        yield start, fn(start, stop, base)
+        yield start, _block(kind, start, stop, base)
 
 
 def iter_phi_blocks(hi: int, lo: int = 1,

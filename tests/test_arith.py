@@ -90,6 +90,38 @@ def test_factorize_primes_shared_by_split_parts():
     assert factorize(n).factors == ((2 ** 31 - 1, 2), (2 ** 61 - 1, 1))
 
 
+def test_factorize_splits_off_each_found_prime_before_its_cofactor(monkeypatch):
+    # A factor the splitter finds is taken apart before the part it came
+    # from, so a found prime leaves with all its powers and is stripped from
+    # that part before it is split again.
+    real = arith._find_nontrivial_factor
+    calls = []
+    monkeypatch.setattr(arith, "_find_nontrivial_factor", lambda n: calls.append(n) or real(n))
+    rng = random.Random(9)
+    for _ in range(6):
+        p, q, r = (int(sympy.nextprime(rng.randrange(1 << 20, 1 << 28))) for _ in range(3))
+        for n in (p ** 2 * q, p ** 3 * q ** 2 * r):
+            calls.clear()
+            f = factorize(n)
+            assert len(calls) <= f.num_distinct_primes, (n, calls)
+
+
+def test_pocklington_proof_against_sympy_with_a_split_cofactor():
+    # n - 1 = 2**k * p**2 * q with 2**k < p**2 * q: the proof must split the
+    # cofactor, and meets p and q in the splitter's order.
+    rng = random.Random(10)
+    primes = 0
+    for _ in range(30):
+        p, q = (int(sympy.nextprime(rng.randrange(1 << 29, 1 << 31))) for _ in range(2))
+        for k in range(1, 87):
+            n = (p * p * q << k) + 1
+            assert n > arith._MR_PROVEN_BOUND
+            want = sympy.isprime(n)
+            assert is_prime(n) == want, n
+            primes += want
+    assert primes >= 20
+
+
 def test_pocklington_proof_stops_before_splitting_the_cofactor(monkeypatch):
     # n - 1 = 2**k * p * q with 2**k > p * q: the power of 2 alone is a large
     # enough factored part, so the 80-bit cofactor p * q is never split.
@@ -255,6 +287,14 @@ def test_trial_division_fallback_ceiling(monkeypatch):
     assert arith._find_nontrivial_factor(991 * 1009) == 991  # 999,919: below it
     with pytest.raises(CapacityError, match="^failed to factor"):
         arith._find_nontrivial_factor(1009 * 1013)  # 1,022,117: above it
+
+
+def test_rho_walk_over_budget_is_capacity_error(monkeypatch):
+    # A walk that finds nothing within its step budget fails at once rather
+    # than starting again with the next constant.
+    monkeypatch.setattr(arith, "_RHO_STEP_BUDGET", 1 << 10)
+    with pytest.raises(CapacityError, match="^failed to factor"):
+        arith._find_nontrivial_factor((2 ** 61 - 1) * (2 ** 89 - 1))
 
 
 def test_iroot_small_values_by_brute_force():

@@ -311,3 +311,13 @@ def test_minimal_m_by_multiplicity_matches_per_k_scan(monkeypatch, chunk):
         for k in range(len(first)):
             hits = [m for m in range(1, bound + 1) if counts[m] == k]
             assert first[k] == (hits[0] if hits else None), (kind, k)
+
+
+def test_sigma_preimages_past_a_hard_rho_split():
+    # Proving a candidate prime here splits the cofactor
+    # 2859729959624793296771012251 = 9774465577523 * 292571490169337; walks
+    # that restarted after 2**19 steps each gave up on it.
+    m = 8 * 74411 * 198301 * 488381 * 631867 * 680749 * 942041
+    got = sigma_preimages(m).solutions
+    assert got == (23361082565035663195043057201559979,)
+    assert sigma(got[0]) == m
