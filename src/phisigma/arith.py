@@ -22,18 +22,30 @@ from functools import lru_cache
 from .errors import CapacityError, DomainError
 
 
-def exact_int(value, what: str) -> int:
-    """value as an int; floats, strings and bools are refused, not converted.
+def exact_int(value, what: str, least: int | None = None) -> int:
+    """value as an int, and at least `least` when given; floats, strings and
+    bools are refused, not converted.  Every public function passes each of
+    its integer arguments through here once, on entry.
 
     >>> exact_int(7, "entry")
     7
+    >>> exact_int(7.0, "entry")
+    Traceback (most recent call last):
+    phisigma.errors.DomainError: entry must be an integer, got 7.0
+    >>> exact_int(0, "table bound", 1)
+    Traceback (most recent call last):
+    phisigma.errors.DomainError: table bound must be positive, got 0
     """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
+    try:
+        n = operator.index(value)
+    except TypeError:  # also raised by a numpy array of more than one entry
+        n = None
+    if n is None or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if least is not None and n < least:
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise DomainError(f"{what} must be {bound}, got {n}")
+    return n
 
 
 def _small_sieve(limit: int) -> list[int]:
@@ -87,6 +99,9 @@ def is_prime(n: int) -> bool:
     >>> [k for k in range(20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
+    # on a cache miss only: the cache keys an int by its value and any other
+    # argument by a 1-tuple, so 7.0 never hits the entry for 7
+    n = exact_int(n, "primality candidate")
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
@@ -139,7 +154,7 @@ def _pocklington_certified(n: int) -> bool:
 def _find_nontrivial_factor(n: int) -> int:
     """Return a nontrivial factor of composite n with no factor below 100."""
     for k in range(2, n.bit_length()):
-        r = iroot(n, k)
+        r = _iroot(n, k)
         if r ** k == n:
             return r
     for c in range(1, 64):
@@ -205,12 +220,13 @@ class PrimeFactorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.value < 1:
-            raise DomainError(f"factorization requires a positive integer, got {self.value}")
+        object.__setattr__(self, "value", exact_int(self.value, "factored value", 1))
+        object.__setattr__(self, "factors", tuple(
+            (exact_int(p, "prime factor"), exact_int(e, "exponent", 1)) for p, e in self.factors))
         prod = 1
         prev = 1
         for p, e in self.factors:
-            if e < 1 or p <= prev or not is_prime(p):
+            if p <= prev or not is_prime(p):
                 raise DomainError(f"invalid factor list for {self.value}")
             prev = p
             prod *= p ** e
@@ -277,14 +293,21 @@ def factorize(n: int) -> PrimeFactorization:
     >>> factorize(360).factors
     ((2, 3), (3, 2), (5, 1))
     """
-    if n < 1:
-        raise DomainError(f"factorization requires a positive integer, got {n}")
+    n = exact_int(n, "factored value", 1)
     return PrimeFactorization(n, tuple(sorted(_prime_powers(n))))
 
 
 # phi and sigma take their prime-power values by one Horner step:
 # v(p) = p + a, v(p**(j+1)) = v(p**j) * p + c, with (a, c) per map.
 _PRIME_POWER_RULE = {"phi": (-1, 0), "sigma": (1, 1)}
+_KINDS = tuple(_PRIME_POWER_RULE)
+
+
+def _check_kind(kind: str) -> None:
+    """The one check of a map kind; an unhashable kind is refused here, not
+    in a cache that hashes it."""
+    if kind not in _KINDS:
+        raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
 
 
 def euler_phi(f: PrimeFactorization | int) -> int:
@@ -293,7 +316,7 @@ def euler_phi(f: PrimeFactorization | int) -> int:
     >>> euler_phi(36)
     12
     """
-    if isinstance(f, int):
+    if not isinstance(f, PrimeFactorization):
         f = factorize(f)
     out = 1
     for p, e in f.factors:
@@ -307,7 +330,7 @@ def sigma(f: PrimeFactorization | int) -> int:
     >>> sigma(12)
     28
     """
-    if isinstance(f, int):
+    if not isinstance(f, PrimeFactorization):
         f = factorize(f)
     out = 1
     for p, e in f.factors:
@@ -321,7 +344,7 @@ def divisors(f: PrimeFactorization | int) -> list[int]:
     >>> divisors(12)
     [1, 2, 3, 4, 6, 12]
     """
-    if isinstance(f, int):
+    if not isinstance(f, PrimeFactorization):
         f = factorize(f)
     out = [1]
     for p, e in f.factors:
@@ -332,8 +355,10 @@ def divisors(f: PrimeFactorization | int) -> list[int]:
 
 def iroot(n: int, k: int) -> int:
     """Integer k-th root: the largest x with x**k <= n."""
-    if n < 0 or k < 1:
-        raise DomainError(f"iroot needs n >= 0 and k >= 1, got {n}, {k}")
+    return _iroot(exact_int(n, "radicand", 0), exact_int(k, "root degree", 1))
+
+
+def _iroot(n: int, k: int) -> int:
     if n == 0:
         return 0
     if n.bit_length() <= k:  # 1 <= n < 2**k, without building 2**k
@@ -357,6 +382,7 @@ def iroot(n: int, k: int) -> int:
 
 def sigma_prime_power(p: int, e: int) -> int:
     """sigma(p**e) = 1 + p + ... + p**e, without checking p for primality."""
+    p, e = exact_int(p, "prime power base", 2), exact_int(e, "exponent", 0)
     return (p ** (e + 1) - 1) // (p - 1)
 
 
@@ -366,8 +392,8 @@ def _prime_powers_with_sigma(d: int, min_exponent: int):
     down: pi**b < sigma(pi**b) < (pi+1)**b, so pi must equal iroot(d, b)."""
     b = min_exponent
     while (1 << (b + 1)) - 1 <= d:
-        pi = iroot(d, b)
-        if pi >= 2 and sigma_prime_power(pi, b) == d and is_prime(pi):
+        pi = _iroot(d, b)
+        if pi >= 2 and pi ** (b + 1) - 1 == d * (pi - 1) and is_prime(pi):
             yield pi, b
         b += 1
 
@@ -377,10 +403,8 @@ def prime_power_sigma_solve(d: int, min_exponent: int = 2) -> tuple[int, int] | 
 
     Returns the representation with the smallest exponent, or None.
     """
-    if d < 1:
-        raise DomainError(f"sigma value must be positive, got {d}")
-    if min_exponent < 2:
-        raise DomainError(f"min_exponent must be at least 2, got {min_exponent}")
+    d = exact_int(d, "sigma value", 1)
+    min_exponent = exact_int(min_exponent, "min_exponent", 2)
     return next(_prime_powers_with_sigma(d, min_exponent), None)
 
 
@@ -390,7 +414,6 @@ def prime_power_sigma_all(d: int) -> tuple[tuple[int, int], ...]:
 
     Representations need not be unique: sigma(5**2) == sigma(2**4) == 31.
     """
-    if d < 1:
-        raise DomainError(f"sigma value must be positive, got {d}")
+    d = exact_int(d, "sigma value", 1)  # on a cache miss only, as in is_prime
     first = ((d - 1, 1),) if d >= 3 and is_prime(d - 1) else ()
     return first + tuple(_prime_powers_with_sigma(d, 2))

@@ -34,7 +34,6 @@ from .preimages import (PreimageSet, minimal_m_with_multiplicity, multiplicity,
                         phi_preimages, sigma_preimages)
 
 LEMMA_KINDS = {"1": "phi", "2": "sigma"}  # config-file "lemma" -> kind
-KINDS = tuple(LEMMA_KINDS.values())
 DEFAULT_BUDGET = 200_000
 
 
@@ -44,16 +43,13 @@ def _form_sign(kind: str) -> int:
 
 @lru_cache(maxsize=256)  # a search builds many configs on one base value
 def _base_multiplicity(kind: str, base_m: int) -> int | None:
-    """Check a kind and its base value; return base_k, the phi-multiplicity
-    of base_m for the phi kind and None for sigma, which fixes base_m = 1."""
-    if kind not in KINDS:
-        raise DomainError(f"kind must be one of {KINDS}, got {kind!r}")
+    """base_k: the phi-multiplicity of base_m for the phi kind, and None for
+    sigma, which fixes base_m = 1.  Callers check the kind and gate base_m
+    first: the cache key (kind, 4.0) equals (kind, 4)."""
     if kind == "sigma":
         if base_m != 1:
             raise DomainError("sigma kind fixes base_m = 1")
         return None
-    if base_m < 1:
-        raise DomainError(f"base value must be positive, got {base_m}")
     k = multiplicity(base_m, "phi")
     if k == 0:
         raise DomainError(f"base value {base_m} has no phi-preimage")
@@ -77,6 +73,8 @@ class PrimeConfig:
     base_k: int | None = field(init=False)
 
     def __post_init__(self):
+        arith._check_kind(self.kind)
+        object.__setattr__(self, "base_m", arith.exact_int(self.base_m, "base value", 1))
         object.__setattr__(self, "base_k", _base_multiplicity(self.kind, self.base_m))
         if self.r < 2 or self.n < 2:
             raise DomainError(f"matrix must be at least 2x2, got {self.r}x{self.n}")
@@ -120,15 +118,12 @@ class PrimeConfig:
 def build_config(matrix, kind: str, base_m: int = 1) -> PrimeConfig:
     """Validate a matrix of primes; base_k is computed from base_m."""
     rows = tuple(tuple(arith.exact_int(p, "matrix entry") for p in row) for row in matrix)
-    if not rows or not rows[0]:
-        raise DomainError("matrix must be nonempty")
     return PrimeConfig(kind, rows, base_m)
 
 
 def condition_index_set(r: int) -> tuple[tuple[int, int], ...]:
     """The (i, j) pairs (1-based) whose forms must be prime: i=1, j=1 or i=j."""
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
+    r = arith.exact_int(r, "r", 1)
     return tuple((i, j) for i in range(1, r + 1) for j in range(1, r + 1)
                  if i == 1 or j == 1 or i == j)
 
@@ -273,8 +268,7 @@ def enumerate_matchings(r: int) -> tuple[tuple[int, ...], ...]:
     forced: there are exactly r matchings, the identity (j = 1) and the
     transpositions of rows 1 and j, listed in lexicographic order.
     """
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
+    r = arith.exact_int(r, "r", 1)
     return tuple(tuple(j if i == 0 else 0 if i == j else i for i in range(r))
                  for j in range(r))
 
@@ -352,11 +346,12 @@ def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
     whose required forms are all prime before running the remaining checks.
     Returns (config, stats); config is None when the budget runs out.
     """
+    arith._check_kind(kind)
+    base_m = arith.exact_int(base_m, "base value", 1)
     _base_multiplicity(kind, base_m)
-    if r < 2 or n < 2:
-        raise DomainError(f"need r >= 2 and n >= 2, got r={r}, n={n}")
-    if budget < 0:
-        raise DomainError(f"budget must be nonnegative, got {budget}")
+    r, n = arith.exact_int(r, "r", 2), arith.exact_int(n, "n", 2)
+    pool_bound = arith.exact_int(pool_bound, "pool bound")
+    budget, seed = arith.exact_int(budget, "budget", 0), arith.exact_int(seed, "seed")
     lower = (1 << r) * base_m + 1
     if pool_bound <= lower:
         raise DomainError(
@@ -458,9 +453,11 @@ def theorem2_search(m: int, r: int, n: int = 2, pool_bound: int = 10 ** 6,
     l = 2**r * t and the certificate covers the claim.  r = 1 is satisfied
     by l = 1 with no search.
     """
+    m = arith.exact_int(m, "base value", 1)
     k = _base_multiplicity("phi", m)
-    if r < 1:
-        raise DomainError(f"need r >= 1, got {r}")
+    r, n = arith.exact_int(r, "r", 1), arith.exact_int(n, "n")
+    pool_bound = arith.exact_int(pool_bound, "pool bound")
+    budget, seed = arith.exact_int(budget, "budget"), arith.exact_int(seed, "seed")
     if r == 1:
         cert = Certificate(None, m, k, phi_preimages(m), ())
         return 1, cert, SearchStats(found=True)
@@ -486,8 +483,10 @@ class ScalePlan:
 def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
     """Plan how to realize phi-multiplicity k: k = p * r with p the smallest
     prime factor, base m the least value of multiplicity p."""
-    if k < 2 or k % 2:
+    k = arith.exact_int(k, "k", 2)
+    if k % 2:
         raise DomainError(f"plan requires an even k >= 2, got {k}")
+    table_bound = arith.exact_int(table_bound, "table bound")
     p = arith.factorize(k).smallest_prime_factor
     r = k // p
     rec = minimal_m_with_multiplicity(p, "phi", table_bound)

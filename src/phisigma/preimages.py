@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import arith
-from .errors import CapacityError, DomainError
+from .errors import CapacityError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,14 +42,6 @@ _FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
 # sigma(x) >= x; for phi, x/phi(x) < 8 unless x has at least 22 distinct
 # primes, and then phi(x) >= prod_{p<=79} (p-1) ~ 4.0e29.  So x < 8B <= 2**31.
 _INT32_BOUND = 2 ** 28
-
-_KINDS = tuple(arith._PRIME_POWER_RULE)
-
-
-def _check_kind(map_kind: str) -> None:
-    if map_kind not in _KINDS:
-        raise DomainError(f"map_kind must be one of {_KINDS}, got {map_kind!r}")
-
 
 @dataclass(frozen=True)
 class PreimageSet:
@@ -165,14 +157,13 @@ class _DivisorDP:
 
 def _divisor_dp(m: int, map_kind: str) -> _DivisorDP | None:
     """The engine for m, or None when m has no preimage for a parity reason."""
-    if m < 1:
-        raise DomainError(f"target must be positive, got {m}")
     if map_kind == "phi" and m % 2 and m > 1:
         return None  # phi(x) is even for x >= 3
     return _DivisorDP(m, map_kind)
 
 
 def _preimages(m: int, map_kind: str) -> PreimageSet:
+    m = arith.exact_int(m, "target", 1)
     dp = _divisor_dp(m, map_kind)
     if dp is None:
         return PreimageSet(m, map_kind, ())
@@ -202,8 +193,8 @@ def sigma_preimages(m: int) -> PreimageSet:
 
 def multiplicity(m: int, map_kind: str) -> int:
     """A(m) for map_kind phi, B(m) for map_kind sigma, counted without enumerating."""
-    _check_kind(map_kind)
-    dp = _divisor_dp(m, map_kind)
+    arith._check_kind(map_kind)
+    dp = _divisor_dp(arith.exact_int(m, "target", 1), map_kind)
     return 0 if dp is None else dp.total
 
 
@@ -230,10 +221,9 @@ def multiplicity_table(map_kind: str, m_bound: int,
 
     from .sieves import _prime_flags
 
-    _check_kind(map_kind)
-    if m_bound < 1:
-        raise DomainError(f"table bound must be positive, got {m_bound}")
-    if m_bound > scan_capacity:
+    arith._check_kind(map_kind)
+    m_bound = arith.exact_int(m_bound, "table bound", 1)
+    if m_bound > arith.exact_int(scan_capacity, "scan capacity"):
         raise CapacityError(f"table bound {m_bound} exceeds capacity {scan_capacity}")
     counts = np.zeros(m_bound + 1, dtype=np.int32 if m_bound < _INT32_BOUND else np.int64)
     counts[1] = 1
@@ -294,12 +284,10 @@ def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
     recomputation overhead is bounded by a constant factor.  scan_bound is
     held to scan_capacity before any table is built.
     """
-    if k < 0:
-        raise DomainError(f"multiplicity must be nonnegative, got {k}")
-    _check_kind(map_kind)
-    if scan_bound < 1:
-        raise DomainError(f"scan bound must be positive, got {scan_bound}")
-    if scan_bound > scan_capacity:
+    k = arith.exact_int(k, "multiplicity", 0)
+    arith._check_kind(map_kind)
+    scan_bound = arith.exact_int(scan_bound, "scan bound", 1)
+    if scan_bound > arith.exact_int(scan_capacity, "scan capacity"):
         raise CapacityError(f"table bound {scan_bound} exceeds capacity {scan_capacity}")
     bound = min(_FIRST_BOUND, scan_bound)
     while True:

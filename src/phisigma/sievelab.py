@@ -21,6 +21,13 @@ from .errors import CapacityError, DomainError
 _POWER_BITS_CAPACITY = 1 << 16
 
 
+def _exact_alpha(alpha) -> Fraction:
+    """alpha as a Fraction; a float, a string or a bool is refused, not converted."""
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, Fraction)):
+        raise DomainError(f"alpha must be an integer or a Fraction, got {alpha!r}")
+    return Fraction(alpha)
+
+
 @dataclass(frozen=True)
 class AlmostPrimeCount:
     """Count of primes s in (x/2, x] with s = 2u + a, u having at least two
@@ -46,11 +53,11 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
 
     from .sieves import DEFAULT_SPAN_CAPACITY, sieve_range, spf_table
 
+    x = arith.exact_int(x, "x", 16)
+    alpha = _exact_alpha(alpha)
+    a = arith.exact_int(a, "shift")
     if a not in (1, -1):
         raise DomainError(f"shift must be +1 or -1, got {a}")
-    if x < 16:
-        raise DomainError(f"need x >= 16, got {x}")
-    alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if x > DEFAULT_SPAN_CAPACITY:
@@ -82,7 +89,7 @@ def lemma3_reference_constant(alpha: Fraction = Fraction(1, 8)) -> float:
     exp(gamma) factors cancel exactly, so they are not evaluated in floating
     point.
     """
-    if Fraction(alpha) != Fraction(1, 8):
+    if _exact_alpha(alpha) != Fraction(1, 8):
         raise DomainError(
             f"only alpha = 1/8 is supported (general sieve-function values are "
             f"out of scope), got {alpha}")
@@ -99,7 +106,8 @@ def count_prime_pairs(k: int, x: int) -> int:
 
     from .sieves import DEFAULT_SPAN_CAPACITY, _prime_flags
 
-    if k < 2 or k % 2:
+    k, x = arith.exact_int(k, "pair gap", 2), arith.exact_int(x, "x")
+    if k % 2:
         raise DomainError(f"pair gap must be an even integer >= 2, got {k}")
     if x <= k:
         raise DomainError(f"need x > k, got x={x}, k={k}")
@@ -152,10 +160,8 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
         raise DomainError(f"beta must be finite, got {beta}")
     if beta <= 0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if x < 1:
-        raise DomainError(f"need x >= 1, got {x}")
-    if prime_cutoff < 2:
-        raise DomainError(f"prime cutoff must be at least 2, got {prime_cutoff}")
+    x = arith.exact_int(x, "x", 1)
+    prime_cutoff = arith.exact_int(prime_cutoff, "prime cutoff", 2)
     if x > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     try:

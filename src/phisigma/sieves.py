@@ -25,8 +25,10 @@ takes one Horner step, v(p) = p + a and v(p**(j+1)) = v(p**j) * p + c, with
 (a, c) = (-1, 0) for phi and (1, 1) for sigma (arith._PRIME_POWER_RULE).
 The kernel's per-prime work runs on strided views (x[off::p]) only; one
 boolean mask per block then handles the single prime factor above sqrt(x).
-Values fit int64 throughout: tables are capped far below 2**62,
-sigma(x) < 6x on the supported range, and no intermediate exceeds 2x.
+Values fit int64 throughout: points stay below MAX_SIEVE_POINT = 4e16,
+where Robin's unconditional bound sigma(n)/n < e**gamma * ln ln n +
+0.6483 / ln ln n for n >= 3 (J. Math. Pures Appl. 63, 1984) gives
+sigma(x) < 6.7x, and no intermediate exceeds 2x.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .arith import _PRIME_POWER_RULE
+from .arith import _PRIME_POWER_RULE, exact_int
 from .errors import CapacityError, DomainError
 
 SEGMENT = 1 << 22  # boolean sieve_range segment; also the value-block ceiling
@@ -59,8 +61,7 @@ def _prime_flags(n: int) -> np.ndarray:
 
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array."""
-    if n < 0:
-        raise DomainError(f"prime bound must be nonnegative, got {n}")
+    n = exact_int(n, "prime bound", 0)
     if n > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"dense prime table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     if n < 2:
@@ -74,6 +75,7 @@ def sieve_range(lo: int, hi: int) -> list[int]:
     >>> sieve_range(10, 30)
     [11, 13, 17, 19, 23, 29]
     """
+    lo, hi = exact_int(lo, "range start"), exact_int(hi, "range end")
     if lo > hi:
         raise DomainError(f"empty range [{lo}, {hi}]")
     lo = max(lo, 2)
@@ -105,8 +107,7 @@ def sieve_range(lo: int, hi: int) -> list[int]:
 
 def spf_table(n: int) -> np.ndarray:
     """Smallest-prime-factor table: spf[x] for 0 <= x <= n, spf[0] = spf[1] = 0."""
-    if n < 0:
-        raise DomainError(f"table bound must be nonnegative, got {n}")
+    n = exact_int(n, "table bound", 0)
     if n > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"spf table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     spf = np.arange(n + 1, dtype=np.int64)
@@ -157,18 +158,19 @@ def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
 
 def _iter_blocks(kind: str, lo: int, hi: int,
                  block: int | None) -> Iterator[tuple[int, np.ndarray]]:
-    if lo < 0 or hi < lo:
+    lo, hi = exact_int(lo, "block range start", 0), exact_int(hi, "block range end")
+    if hi < lo:
         raise DomainError(f"bad block range [{lo}, {hi}]")
-    if block is not None and block < 1:
-        raise DomainError(f"block size must be positive, got {block}")
+    if block is not None:
+        block = exact_int(block, "block size", 1)
     if hi > MAX_SIEVE_POINT:
         raise CapacityError(f"block scan endpoint {hi} exceeds {MAX_SIEVE_POINT}")
     base = primes_upto(math.isqrt(hi)) if hi >= 4 else np.empty(0, dtype=np.int64)
     if block is None:
         block = min(SEGMENT, max(VALUE_BLOCK, BLOCK_PER_BASE_PRIME * base.size))
-    for start in range(lo, hi + 1, block):
-        stop = min(start + block, hi + 1)
-        yield start, _block(kind, start, stop, base)
+    # a generator expression: the checks above run on the call, not on first use
+    return ((start, _block(kind, start, min(start + block, hi + 1), base))
+            for start in range(lo, hi + 1, block))
 
 
 def iter_phi_blocks(hi: int, lo: int = 1,
@@ -189,6 +191,7 @@ def iter_sigma_blocks(hi: int, lo: int = 1,
 
 
 def _dense_table(kind: str, n: int) -> np.ndarray:
+    n = exact_int(n, "table bound", 0)
     if n > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"dense {kind} table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     out = np.zeros(n + 1, dtype=np.int64)

@@ -445,3 +445,12 @@ def test_search_counts_base_multiplicity_once(monkeypatch):
     configs._base_multiplicity.cache_clear()  # holds no count from the patched function
     assert stats.assembled > 1 and cfg is not None
     assert calls == [2]
+
+
+def test_an_unhashable_kind_is_refused_before_any_cache():
+    with pytest.raises(DomainError, match="^kind must be one of"):
+        build_config(SIGMA_R2_MATRIX, ["phi"])
+    with pytest.raises(DomainError, match="^kind must be one of"):
+        search_config(["sigma"], 2, 2, 10 ** 5, 100)
+    with pytest.raises(DomainError, match="^kind must be one of"):
+        multiplicity(12, ["sigma"])

@@ -1,0 +1,108 @@
+"""The argument gate: every public integer parameter is an exact int or a
+DomainError, whatever the caches already hold."""
+
+from fractions import Fraction
+
+import pytest
+
+import phisigma
+import phisigma.configs as configs
+from phisigma import arith
+from phisigma.errors import DomainError
+
+SIGMA_R2_MATRIX = ((564089, 128339), (505493, 165383))
+
+# Every public callable in phisigma.__all__ with an integer parameter: its
+# name, valid arguments, and the positions of its integer parameters.
+# Result records (PreimageSet, SearchStats, ...) are outputs, not inputs.
+SWEEP = [
+    ("PrimeFactorization", (12, ((2, 2), (3, 1))), (0,)),
+    ("divisors", (12,), (0,)),
+    ("euler_phi", (12,), (0,)),
+    ("factorize", (12,), (0,)),
+    ("iroot", (100, 3), (0, 1)),
+    ("is_prime", (7,), (0,)),
+    ("prime_power_sigma_all", (31,), (0,)),
+    ("prime_power_sigma_solve", (31, 2), (0, 1)),
+    ("sigma", (12,), (0,)),
+    ("sigma_prime_power", (5, 2), (0, 1)),
+    ("minimal_m_with_multiplicity", (2, "phi", 100, 1000), (0, 2, 3)),
+    ("multiplicity", (12, "sigma"), (0,)),
+    ("multiplicity_table", ("phi", 100, 1000), (1, 2)),
+    ("phi_preimages", (4,), (0,)),
+    ("sigma_preimages", (12,), (0,)),
+    ("PrimeConfig", ("sigma", SIGMA_R2_MATRIX, 1), (2,)),
+    ("build_config", (SIGMA_R2_MATRIX, "sigma", 1), (2,)),
+    ("condition_index_set", (3,), (0,)),
+    ("corollary3_plan", (6, 100), (0, 1)),
+    ("count_matchings", (3,), (0,)),
+    ("enumerate_matchings", (3,), (0,)),
+    ("search_config", ("sigma", 2, 2, 10 ** 4, 10, 0, 1), (1, 2, 3, 4, 5, 6)),
+    ("theorem2_search", (2, 1, 2, 10 ** 4, 10, 0), (0, 1, 2, 3, 4, 5)),
+    ("count_prime_pairs", (2, 100), (0, 1)),
+    ("count_shifted_almost_primes", (1000, Fraction(1, 8), 1), (0, 2)),
+    ("ratio_power_sum", (2.0, 100, 100), (1, 2)),
+    ("iter_phi_blocks", (100, 1, 10), (0, 1, 2)),
+    ("iter_sigma_blocks", (100, 1, 10), (0, 1, 2)),
+    ("phi_table", (100,), (0,)),
+    ("primes_upto", (100,), (0,)),
+    ("sieve_range", (10, 30), (0, 1)),
+    ("sigma_table", (100,), (0,)),
+    ("spf_table", (100,), (0,)),
+]
+
+
+@pytest.mark.parametrize("name, args, positions", SWEEP, ids=[row[0] for row in SWEEP])
+def test_every_integer_parameter_refuses_floats_strings_and_bools(name, args, positions):
+    fn = getattr(phisigma, name)
+    assert name in phisigma.__all__
+    fn(*args)  # the valid call runs, and warms any cache the bad calls could hit
+    for pos in positions:
+        for bad in (7.0, "7", True):
+            call = args[:pos] + (bad,) + args[pos + 1:]
+            with pytest.raises(DomainError, match="must be an integer"):
+                fn(*call)
+
+
+def test_the_sweep_covers_every_public_callable_with_an_integer_parameter():
+    # names with no integer parameter: a config, a path, a rational alpha,
+    # or integers inside a sequence (l_value's primes, checked entry by entry)
+    no_int = {"certify", "check_condition_i", "check_condition_ii", "check_condition_iii",
+              "load_config", "save_config", "verify", "lemma3_reference_constant",
+              "l_value"}
+    records = {"AlmostPrimeCount", "Certificate", "MultiplicityRecord", "PreimageSet",
+               "RatioSumReport", "SearchStats", "VerificationReport"}
+    errors = {"CapacityError", "CertificationError", "DomainError"}
+    callables = {name for name in phisigma.__all__
+                 if callable(getattr(phisigma, name)) and not name.startswith("__")}
+    assert {row[0] for row in SWEEP} == callables - no_int - records - errors
+
+
+def test_a_cached_int_does_not_answer_for_a_float():
+    assert phisigma.is_prime(7)
+    with pytest.raises(DomainError):
+        phisigma.is_prime(7.0)
+
+
+def test_a_cached_base_value_does_not_admit_a_float():
+    configs._base_multiplicity("phi", 4)
+    with pytest.raises(DomainError):
+        configs.build_config([[101, 103], [107, 109]], "phi", base_m=4.0)
+    assert configs.build_config([[101, 103], [107, 109]], "phi", base_m=4).base_m == 4
+
+
+def test_no_gate_on_a_cache_hit_or_per_loop_step(monkeypatch):
+    gated = []
+    real = arith.exact_int
+    monkeypatch.setattr(arith, "exact_int", lambda *args: gated.append(args[1]) or real(*args))
+    for _ in range(2):  # the first round may miss the caches
+        gated.clear()
+        arith.is_prime(1000003)
+        arith.prime_power_sigma_all(31)
+    assert gated == []
+    # 58 exponents, one root each, and no solution: no is_prime call either
+    assert arith.prime_power_sigma_solve(2 ** 60 + 1, 2) is None
+    assert gated == ["sigma value", "min_exponent"]
+    gated.clear()
+    assert arith._find_nontrivial_factor(1000003 * 1000033) in (1000003, 1000033)
+    assert gated == []

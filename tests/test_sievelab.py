@@ -258,3 +258,13 @@ def test_l_value_refuses_non_integers(bad):
 
 def test_l_value_accepts_numpy_integers():
     assert l_value(np.array([3, 5, 7], dtype=np.int64)) == Fraction(8)
+
+
+@pytest.mark.parametrize("alpha", [0.1, "abc", None])
+def test_alpha_must_be_a_rational(alpha):
+    # 0.1 became a Fraction with a 52-bit numerator and a CapacityError,
+    # "abc" a bare ValueError and None a TypeError
+    with pytest.raises(DomainError, match="alpha must be an integer or a Fraction"):
+        count_shifted_almost_primes(1000, alpha, 1)
+    with pytest.raises(DomainError, match="alpha must be an integer or a Fraction"):
+        lemma3_reference_constant(alpha)

@@ -211,3 +211,13 @@ def test_sieve_range_spans_two_segments(monkeypatch):
             assert sieve_range(lo, hi) == _trial_division_primes(lo, hi), (lo, width)
     # base primes above 64 lie in later segments, which they must not strike
     assert sieve_range(0, 5000) == _trial_division_primes(0, 5000)
+
+
+def test_sigma_blocks_past_six_times_the_value():
+    # sigma(n)/n = 6.0174 for n = 2^7 3^3 5^2 7^2 11 13 17 19 23 29, below
+    # MAX_SIEVE_POINT: int64 still holds it (Robin's bound gives < 6.7n here)
+    n = 130429015516800
+    assert sigma(n) > 6 * n
+    (start, values), = iter_sigma_blocks(n + 5, lo=n - 5)
+    assert start == n - 5
+    assert values.tolist() == [sigma(x) for x in range(n - 5, n + 6)]
