@@ -10,9 +10,9 @@ when they run, so l_value and lemma3_reference_constant stay pure Python.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from . import arith
 from .errors import CapacityError, DomainError
@@ -137,6 +137,42 @@ def l_value(primes) -> Fraction:
     return out
 
 
+def _exact_sum(blocks) -> float:
+    """The correctly rounded sum of the finite float64 arrays in `blocks`, the
+    float math.fsum returns for the same values, without making a Python float
+    of each value.
+
+    Each nonzero value is +-m * 2**e with 2**52 <= m * 2**53 < 2**53
+    (np.frexp), and m * 2**53 splits into a 27-bit and a 26-bit whole half.
+    One bincount per half, binned by exponent, adds halves below 2**27; an
+    array of at most 2**26 values (a value block holds at most SEGMENT =
+    2**22) keeps every bin below 2**53, so float64 adds it exactly.  The bins
+    go into one Python int, scaled by 2**1126 so that subnormals are whole,
+    and the final int / int division rounds once.  A value that is not
+    finite, or a total past the float range, raises OverflowError.
+    """
+    import numpy as np
+
+    total = 0
+    for block in blocks:
+        if not block.size:
+            continue
+        if not np.isfinite(block).all():
+            raise OverflowError("a term is not finite")
+        m, e = np.frexp(block)
+        m *= 2.0 ** 27
+        high = np.floor(m)
+        m -= high
+        m *= 2.0 ** 26  # the low 26 bits, now whole
+        least = int(e.min())
+        bins = e - least
+        highs = np.bincount(bins, weights=high).tolist()
+        lows = np.bincount(bins, weights=m).tolist()
+        for k, (h, l) in enumerate(zip(highs, lows)):
+            total += ((int(h) << 26) + int(l)) << (least + k + 1073)
+    return total / (1 << 1126)
+
+
 @dataclass(frozen=True)
 class RatioSumReport:
     """Sum of (k/phi(k))**beta for k <= x against the truncated Euler product."""
@@ -150,16 +186,18 @@ class RatioSumReport:
 
 
 def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSumReport:
-    """Compensated-sum the ratio powers by batch phi; compute the truncated
+    """Sum the ratio powers by batch phi, exactly and then correctly rounded
+    (the float math.fsum gives for the same terms); compute the truncated
     product over primes <= prime_cutoff and a rigorous tail factor."""
     import numpy as np
 
     from .sieves import DEFAULT_SPAN_CAPACITY, iter_phi_blocks, primes_upto
 
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta}")
-    if beta <= 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
+        raise DomainError(f"beta must be an int or a float, got {beta!r}")
+    if not 0 < beta <= sys.float_info.max:  # an int past it has no float
+        raise DomainError(f"beta must be positive and finite, got {beta}")
+    beta = float(beta)
     x = arith.exact_int(x, "x", 1)
     prime_cutoff = arith.exact_int(prime_cutoff, "prime cutoff", 2)
     if x > DEFAULT_SPAN_CAPACITY:
@@ -177,10 +215,8 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
         terms = ((np.arange(start, start + vals.size, dtype=np.float64)
                   / vals.astype(np.float64)) ** beta
                  for start, vals in iter_phi_blocks(x))
-        with np.errstate(over="ignore"):  # an infinite term makes the sum infinite
-            total = math.fsum(chain.from_iterable(t.tolist() for t in terms))
-        if not math.isfinite(total):
-            raise OverflowError
+        with np.errstate(over="ignore"):  # an infinite term makes the sum overflow
+            total = _exact_sum(terms)
     except OverflowError as exc:
         raise DomainError(f"beta = {beta} is too large: c_beta, its tail factor "
                           f"or the sum is not a finite float") from exc

@@ -10,25 +10,31 @@ range.  Two segment sizes serve two kinds of scan:
   prime hits the segment at most once, so those are struck together in one
   vector step.  Far from 0 (78,498 base primes near 10**12) a short window
   thus costs a few array operations, not a Python step per base prime.
-- The phi and sigma value blocks come from one kernel with three int64
-  work arrays (the values, the unfactored rest, and the value of the
-  current prime's part).  It touches each entry once per prime power
-  dividing it, so it runs in cache-sized blocks of VALUE_BLOCK = 2**17
-  entries (1 MB per array).  On a 2-core Xeon with 2 MB of L2 per core that
-  size was fastest, and 2**16 to 2**19 came within ~15% of it.  Far from 0
-  the per-block loop over the base primes dominates instead (78,498 of
-  them near 10**12), so a block is never shorter than BLOCK_PER_BASE_PRIME
-  entries per base prime, up to SEGMENT entries.
+- The phi and sigma value blocks come from one kernel with three work
+  arrays (the values, the unfactored rest, and the value of the current
+  prime's part).  It touches each entry once per prime power dividing it,
+  so it runs in cache-sized blocks of VALUE_BLOCK = 2**17 entries (512 KB
+  per int32 array).  On a 2-core Xeon with 2 MB of L2 per core, phi and
+  sigma to 5e6 took 0.18-0.21 s each at that size; 2**18 came within 6%,
+  2**19 within 10% and 2**16 within 30%.  Far from 0 the per-block loop
+  over the base primes dominates instead (78,498 of them near 10**12), so a
+  block is never shorter than BLOCK_PER_BASE_PRIME entries per base prime,
+  up to SEGMENT entries.
 
 Both maps are multiplicative and differ only on prime powers, where each
 takes one Horner step, v(p) = p + a and v(p**(j+1)) = v(p**j) * p + c, with
 (a, c) = (-1, 0) for phi and (1, 1) for sigma (arith._PRIME_POWER_RULE).
-The kernel's per-prime work runs on strided views (x[off::p]) only; one
-boolean mask per block then handles the single prime factor above sqrt(x).
-Values fit int64 throughout: points stay below MAX_SIEVE_POINT = 4e16,
-where Robin's unconditional bound sigma(n)/n < e**gamma * ln ln n +
-0.6483 / ln ln n for n >= 3 (J. Math. Pures Appl. 63, 1984) gives
-sigma(x) < 6.7x, and no intermediate exceeds 2x.
+The kernel's per-prime work runs on strided views (x[off::p]) only.  What
+is left of x after them is its one prime factor q above sqrt(x), or 1, so
+one dense step adds a where it exceeds 1 and multiplies it in: a boolean
+gather and scatter through a mask would take 35-45% of a block.
+
+No intermediate exceeds max(sigma(x), x + 1).  Points stay below
+MAX_SIEVE_POINT = 4e16, where Robin's unconditional bound sigma(n)/n <
+e**gamma * ln ln n + 0.6483 / ln ln n for n >= 3 (J. Math. Pures Appl. 63,
+1984) gives sigma(x) < 6.7x.  So the work arrays are int64 in general and
+int32 for a block whose stop (one past its last entry) has 7 * stop < 2**31,
+which halves their memory traffic; the blocks handed out are always int64.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .arith import _PRIME_POWER_RULE, exact_int
 from .errors import CapacityError, DomainError
 
 SEGMENT = 1 << 22  # boolean sieve_range segment; also the value-block ceiling
-VALUE_BLOCK = 1 << 17  # int64 value block, sized for L2
+VALUE_BLOCK = 1 << 17  # value block, sized for L2
 BLOCK_PER_BASE_PRIME = 64  # value block floor, per base prime
 DEFAULT_SPAN_CAPACITY = 2 * 10 ** 8
 MAX_SIEVE_POINT = DEFAULT_SPAN_CAPACITY ** 2  # keeps base-prime sieves below the span cap
@@ -120,14 +126,20 @@ def spf_table(n: int) -> np.ndarray:
 
 
 def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
-    """phi(x) or sigma(x) for x in [start, stop); entries below 1 are set to 0."""
+    """phi(x) or sigma(x) for x in [start, stop) as int64; entries below 1 are
+    set to 0."""
     a, c = _PRIME_POWER_RULE[kind]
     n = stop - start
-    val = np.ones(n, dtype=np.int64)
-    rem = np.arange(start, stop, dtype=np.int64)
+    # rem and rem + a stay at most x + 1 <= stop, fac is v(p**j) or
+    # p * v(p**(j-1)) <= v(p**j), and val is v(d) for a divisor d of x, so no
+    # intermediate exceeds max(sigma(x), stop) < 7 * stop (Robin's bound, in
+    # the module docstring): int32 cannot overflow while 7 * stop < 2**31.
+    dtype = np.int32 if 7 * stop < 2 ** 31 else np.int64
+    val = np.ones(n, dtype=dtype)
+    rem = np.arange(start, stop, dtype=dtype)
     if start == 0:
         rem[0] = 1
-    fac = np.empty(n, dtype=np.int64)  # value of the p-part, on the multiples of p
+    fac = np.empty(n, dtype=dtype)  # value of the p-part, on the multiples of p
     for p in base.tolist():
         if p * p >= stop:
             break
@@ -149,11 +161,16 @@ def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
                     view += c
             pe *= p
         val[off::p] *= fac[off::p]
-    big = rem > 1
-    val[big] *= rem[big] + a
+    # rem now holds the one prime factor above sqrt(x), or 1: turn it into
+    # v(q) = q + a (a is +1 or -1) in one dense step, not through a mask
+    if a > 0:
+        rem += rem > 1
+    else:
+        rem -= rem > 1
+    val *= rem
     if start == 0:
         val[0] = 0
-    return val
+    return val.astype(np.int64, copy=False)
 
 
 def _iter_blocks(kind: str, lo: int, hi: int,

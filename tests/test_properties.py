@@ -5,13 +5,17 @@ and database=None keeps no example store between runs.
 """
 
 import math
+import sys
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phisigma.arith import euler_phi, factorize, is_prime, sigma
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
+from phisigma.sievelab import _exact_sum
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -57,3 +61,42 @@ def test_factorize_multiplies_back(n):
     primes = [p for p, _ in factors]
     assert primes == sorted(set(primes))
     assert all(is_prime(p) and e >= 1 for p, e in factors)
+
+
+# floats >= 1 over many binades, powers of two and their neighbours, and
+# pairs whose sum is a tie halfway between two floats (2**(k+53) + 2**k
+# rounds down to even, 2**(k+53) + 2**(k+1) + 2**k up)
+BINADES = st.integers(0, 960)
+TERMS = st.one_of(
+    st.builds(math.ldexp, st.floats(1, 2, exclude_max=True), BINADES).map(lambda v: [v]),
+    BINADES.map(lambda k: [2.0 ** k, math.nextafter(2.0 ** k, math.inf),
+                           max(1.0, math.nextafter(2.0 ** k, 0))]),
+    BINADES.map(lambda k: [2.0 ** (k + 53), 2.0 ** k]),
+    BINADES.map(lambda k: [2.0 ** (k + 53) + 2.0 ** (k + 1), 2.0 ** k]),
+)
+
+
+@SETTINGS
+@given(st.lists(TERMS, max_size=60).map(lambda runs: [v for run in runs for v in run])
+       .flatmap(lambda vals: st.tuples(st.permutations(vals),
+                                       st.lists(st.integers(0, len(vals)), max_size=6))))
+@example(([2.0 ** 53, 1.0], [1]))
+@example(([1.0, 2.0 ** 53 + 2.0], [1, 1]))
+@example(([sys.float_info.max, 2.0 ** 969], [1]))  # rounds down to the largest float
+def test_exact_sum_is_fsum_bit_for_bit(vals_and_cuts):
+    vals, cuts = vals_and_cuts
+    blocks = np.split(np.array(vals, dtype=np.float64), sorted(cuts))
+    assert _exact_sum(blocks).hex() == math.fsum(vals).hex()
+
+
+@pytest.mark.parametrize("vals", [
+    [1.0, math.inf, 2.0],  # an infinite term
+    [sys.float_info.max, sys.float_info.max],  # finite terms past the float range
+    [sys.float_info.max, 2.0 ** 970],  # a tie that rounds up past it
+])
+def test_exact_sum_overflows_where_fsum_does(vals):
+    with pytest.raises(OverflowError):
+        _exact_sum([np.array(vals[:1]), np.array(vals[1:])])
+    if math.inf not in vals:
+        with pytest.raises(OverflowError):
+            math.fsum(vals)

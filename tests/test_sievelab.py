@@ -180,6 +180,19 @@ def test_ratio_power_sum_rejects_an_infinite_sum(monkeypatch):
         ratio_power_sum(700.0, 6)
 
 
+def test_ratio_power_sum_rejects_finite_terms_past_the_float_range(monkeypatch):
+    # k/phi(k) = 3 at k = 6 and 12: 3**646 is 0.92 of the largest float, so
+    # each term is finite and their sum is not.  No primes in the product, as
+    # in the test above.
+    import phisigma.sieves
+
+    real = phisigma.sieves.primes_upto
+    monkeypatch.setattr(phisigma.sieves, "primes_upto", lambda n: real(1 if n == 10 ** 5 else n))
+    assert math.isfinite(ratio_power_sum(646.0, 11).sum)
+    with pytest.raises(DomainError, match="the sum is not a finite float"):
+        ratio_power_sum(646.0, 12)
+
+
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
 def test_ratio_power_sum_is_one_fsum_of_the_terms(beta):
     # The same float expression on one dense array: numpy's elementwise
@@ -188,6 +201,26 @@ def test_ratio_power_sum_is_one_fsum_of_the_terms(beta):
     ks = np.arange(1, x + 1, dtype=np.float64)
     terms = (ks / phi_table(x)[1:].astype(np.float64)) ** beta
     assert ratio_power_sum(beta, x).sum == math.fsum(terms.tolist())
+
+
+@pytest.mark.parametrize("beta", [True, "abc", None])
+def test_ratio_power_sum_refuses_a_beta_that_is_not_a_number(beta, monkeypatch):
+    # "abc" raised a bare TypeError and True summed as beta = 1.0
+    import phisigma.sieves
+
+    def sieve(*args, **kwargs):
+        pytest.fail("sieved before checking beta")
+
+    for name in ("primes_upto", "iter_phi_blocks"):
+        monkeypatch.setattr(phisigma.sieves, name, sieve)
+    with pytest.raises(DomainError, match="beta must be an int or a float"):
+        ratio_power_sum(beta, 100)
+
+
+def test_ratio_power_sum_integer_beta_is_its_float():
+    assert repr(ratio_power_sum(2, 5000)) == repr(ratio_power_sum(2.0, 5000))
+    with pytest.raises(DomainError, match="positive and finite"):  # no float holds it
+        ratio_power_sum(10 ** 400, 100)
 
 
 def _loop_shifted_count(x, alpha, a):

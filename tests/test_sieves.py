@@ -221,3 +221,23 @@ def test_sigma_blocks_past_six_times_the_value():
     (start, values), = iter_sigma_blocks(n + 5, lo=n - 5)
     assert start == n - 5
     assert values.tolist() == [sigma(x) for x in range(n - 5, n + 6)]
+
+
+# The kernel's work arrays are int32 while 7 * stop < 2**31, that is for a
+# stop up to 306,783,378 (last entry 306,783,377), and int64 from there on.
+INT32_LAST = 306_783_377
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_value_blocks_across_the_int32_switch(block):
+    assert 7 * (INT32_LAST + 1) < 2 ** 31 <= 7 * (INT32_LAST + 2)
+    width = 40 if block < 64 else 3000
+    n = 245_044_800  # 2^6 3^2 5^2 7 11 13 17: sigma(n)/n is about 5.05
+    assert 5 * n < sigma(n) < 2 ** 31
+    for lo, hi in ((INT32_LAST - width, INT32_LAST), (INT32_LAST + 1 - width, INT32_LAST + 1),
+                   (n - width // 2, n + width // 2)):
+        for it, ref in ((iter_phi_blocks, euler_phi), (iter_sigma_blocks, sigma)):
+            blocks = list(it(hi, lo=lo, block=block))
+            assert all(vals.dtype == np.int64 for _, vals in blocks)
+            _, vals = _block_values(blocks)
+            assert vals == [ref(x) for x in range(lo, hi + 1)], (it, lo, block)
