@@ -22,10 +22,12 @@ from functools import lru_cache
 from .errors import CapacityError, DomainError
 
 
-def exact_int(value, what: str, least: int | None = None) -> int:
-    """value as an int, and at least `least` when given; floats, strings and
-    bools are refused, not converted.  Every public function passes each of
-    its integer arguments through here once, on entry.
+def exact_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """value as an int that can be served: an integer (floats, strings and
+    bools are refused, not converted), at least `least` when given
+    (DomainError), and at most `most` when given (CapacityError, checked
+    before any work).  Every public function passes each of its integer
+    arguments through here once, on entry.
 
     >>> exact_int(7, "entry")
     7
@@ -35,6 +37,9 @@ def exact_int(value, what: str, least: int | None = None) -> int:
     >>> exact_int(0, "table bound", 1)
     Traceback (most recent call last):
     phisigma.errors.DomainError: table bound must be positive, got 0
+    >>> exact_int(101, "table bound", 1, 100)
+    Traceback (most recent call last):
+    phisigma.errors.CapacityError: table bound 101 exceeds capacity 100
     """
     try:
         n = operator.index(value)
@@ -45,6 +50,8 @@ def exact_int(value, what: str, least: int | None = None) -> int:
     if least is not None and n < least:
         bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
         raise DomainError(f"{what} must be {bound}, got {n}")
+    if most is not None and n > most:
+        raise CapacityError(f"{what} {n} exceeds capacity {most}")
     return n
 
 
@@ -92,16 +99,14 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16, typed=True)
 def is_prime(n: int) -> bool:
     """Decide primality of n deterministically.
 
     >>> [k for k in range(20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
-    # on a cache miss only: the cache keys an int by its value and any other
-    # argument by a 1-tuple, so 7.0 never hits the entry for 7
-    n = exact_int(n, "primality candidate")
+    n = exact_int(n, "primality candidate")  # on a cache miss only
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
@@ -127,28 +132,25 @@ def _pocklington_certified(n: int) -> bool:
     prime divisor of n is 1 mod F, hence exceeds sqrt(n), hence n is prime.
     A Fermat failure along the way disproves primality outright.  F grows
     along _prime_powers(n - 1) and the stream is left once F suffices; it
-    cannot run dry first, since F = n-1 at its end.  So the witness loop
-    visits a prefix of the primes of n-1 in stream order: the small primes
-    ascending, then the cofactor's primes in split order.
+    cannot run dry first, since F = n-1 at its end.  Each base takes one
+    Fermat test, then witnesses every pending prime q of F (in stream order)
+    with gcd(a**((n-1)/q) - 1, n) = 1.
     """
     m = n - 1
-    found: list[int] = []  # primes of m, in stream order
+    pending: list[int] = []  # primes of F, in stream order
     ffpart = 1
     for q, e in _prime_powers(m):
-        found.append(q)
+        pending.append(q)
         ffpart *= q ** e
         if (ffpart + 1) ** 2 > n:
             break
-    for q in found:
-        for a in _SMALL_PRIMES:
-            if pow(a, m, n) != 1:
-                return False
-            u = pow(a, m // q, n)
-            if math.gcd(u - 1, n) == 1:
-                break
-        else:
-            raise CapacityError(f"no Pocklington witness found for {n} at prime {q}")
-    return True
+    for a in _SMALL_PRIMES:
+        if pow(a, m, n) != 1:
+            return False
+        pending = [q for q in pending if math.gcd(pow(a, m // q, n) - 1, n) != 1]
+        if not pending:
+            return True
+    raise CapacityError(f"no Pocklington witness found for {n} at prime {pending[0]}")
 
 
 def _find_nontrivial_factor(n: int) -> int:
@@ -408,12 +410,12 @@ def prime_power_sigma_solve(d: int, min_exponent: int = 2) -> tuple[int, int] | 
     return next(_prime_powers_with_sigma(d, min_exponent), None)
 
 
-@lru_cache(maxsize=1 << 16)
+@lru_cache(maxsize=1 << 16, typed=True)
 def prime_power_sigma_all(d: int) -> tuple[tuple[int, int], ...]:
     """All prime powers pi**b (b >= 1) with sigma(pi**b) == d.
 
     Representations need not be unique: sigma(5**2) == sigma(2**4) == 31.
     """
-    d = exact_int(d, "sigma value", 1)  # on a cache miss only, as in is_prime
+    d = exact_int(d, "sigma value", 1)  # on a cache miss only
     first = ((d - 1, 1),) if d >= 3 and is_prime(d - 1) else ()
     return first + tuple(_prime_powers_with_sigma(d, 2))

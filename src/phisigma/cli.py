@@ -80,16 +80,6 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def _shift(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"shift must be +1 or -1, got {text!r}")
-    if value not in (1, -1):
-        raise argparse.ArgumentTypeError(f"shift must be +1 or -1, got {text!r}")
-    return value
-
-
 def _k_range(text: str) -> tuple[int, int]:
     """Parse 'a..b' (or a single integer) into an inclusive range."""
     if ".." in text:
@@ -333,7 +323,8 @@ _COMMANDS = (
     _Command("sieve-count", "count shifted almost primes in (x/2, x]",
              lambda args: _fields(sievelab.count_shifted_almost_primes(args.x, args.alpha,
                                                                        args.a)),
-             (("--x", _NAT_REQUIRED), _ALPHA, ("--a", {"type": _shift, "required": True}))),
+             (("--x", _NAT_REQUIRED), _ALPHA,
+              ("--a", {"type": int, "choices": (1, -1), "required": True}))),
     _Command("prime-pairs", "count primes p <= x-k with p+k prime",
              lambda args: {"k": args.k, "x": args.x,
                            "count": sievelab.count_prime_pairs(args.k, args.x)},

@@ -41,11 +41,10 @@ def _form_sign(kind: str) -> int:
     return 1 if kind == "phi" else -1
 
 
-@lru_cache(maxsize=256)  # a search builds many configs on one base value
+@lru_cache(maxsize=256, typed=True)  # a search builds many configs on one base value
 def _base_multiplicity(kind: str, base_m: int) -> int | None:
     """base_k: the phi-multiplicity of base_m for the phi kind, and None for
-    sigma, which fixes base_m = 1.  Callers check the kind and gate base_m
-    first: the cache key (kind, 4.0) equals (kind, 4)."""
+    sigma, which fixes base_m = 1.  Callers check the kind first."""
     if kind == "sigma":
         if base_m != 1:
             raise DomainError("sigma kind fixes base_m = 1")

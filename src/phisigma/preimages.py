@@ -222,9 +222,8 @@ def multiplicity_table(map_kind: str, m_bound: int,
     from .sieves import _prime_flags
 
     arith._check_kind(map_kind)
-    m_bound = arith.exact_int(m_bound, "table bound", 1)
-    if m_bound > arith.exact_int(scan_capacity, "scan capacity"):
-        raise CapacityError(f"table bound {m_bound} exceeds capacity {scan_capacity}")
+    scan_capacity = arith.exact_int(scan_capacity, "scan capacity")
+    m_bound = arith.exact_int(m_bound, "table bound", 1, scan_capacity)
     counts = np.zeros(m_bound + 1, dtype=np.int32 if m_bound < _INT32_BOUND else np.int64)
     counts[1] = 1
     # the table's own capacity check covers this prime table, which is smaller
@@ -286,9 +285,8 @@ def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
     """
     k = arith.exact_int(k, "multiplicity", 0)
     arith._check_kind(map_kind)
-    scan_bound = arith.exact_int(scan_bound, "scan bound", 1)
-    if scan_bound > arith.exact_int(scan_capacity, "scan capacity"):
-        raise CapacityError(f"table bound {scan_bound} exceeds capacity {scan_capacity}")
+    scan_capacity = arith.exact_int(scan_capacity, "scan capacity")
+    scan_bound = arith.exact_int(scan_bound, "table bound", 1, scan_capacity)
     bound = min(_FIRST_BOUND, scan_bound)
     while True:
         first = minimal_m_by_multiplicity(multiplicity_table(map_kind, bound, scan_capacity))

@@ -53,15 +53,13 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
 
     from .sieves import DEFAULT_SPAN_CAPACITY, sieve_range, spf_table
 
-    x = arith.exact_int(x, "x", 16)
+    x = arith.exact_int(x, "x", 16, DEFAULT_SPAN_CAPACITY)
     alpha = _exact_alpha(alpha)
     a = arith.exact_int(a, "shift")
     if a not in (1, -1):
         raise DomainError(f"shift must be +1 or -1, got {a}")
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if x > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     if alpha.numerator * x.bit_length() > _POWER_BITS_CAPACITY:
         raise CapacityError(
             f"x ** {alpha.numerator} would exceed {_POWER_BITS_CAPACITY} bits; "
@@ -106,13 +104,12 @@ def count_prime_pairs(k: int, x: int) -> int:
 
     from .sieves import DEFAULT_SPAN_CAPACITY, _prime_flags
 
-    k, x = arith.exact_int(k, "pair gap", 2), arith.exact_int(x, "x")
+    k = arith.exact_int(k, "pair gap", 2)
+    x = arith.exact_int(x, "x", most=DEFAULT_SPAN_CAPACITY)
     if k % 2:
         raise DomainError(f"pair gap must be an even integer >= 2, got {k}")
     if x <= k:
         raise DomainError(f"need x > k, got x={x}, k={k}")
-    if x > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     flags = _prime_flags(x)
     return int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))
 
@@ -198,10 +195,8 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
     if not 0 < beta <= sys.float_info.max:  # an int past it has no float
         raise DomainError(f"beta must be positive and finite, got {beta}")
     beta = float(beta)
-    x = arith.exact_int(x, "x", 1)
+    x = arith.exact_int(x, "x", 1, DEFAULT_SPAN_CAPACITY)
     prime_cutoff = arith.exact_int(prime_cutoff, "prime cutoff", 2)
-    if x > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"x = {x} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     try:
         c_beta = 1.0
         for p in primes_upto(prime_cutoff).tolist():

@@ -67,9 +67,7 @@ def _prime_flags(n: int) -> np.ndarray:
 
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array."""
-    n = exact_int(n, "prime bound", 0)
-    if n > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"dense prime table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
+    n = exact_int(n, "prime bound", 0, DEFAULT_SPAN_CAPACITY)
     if n < 2:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(_prime_flags(n)).astype(np.int64, copy=False)
@@ -81,14 +79,12 @@ def sieve_range(lo: int, hi: int) -> list[int]:
     >>> sieve_range(10, 30)
     [11, 13, 17, 19, 23, 29]
     """
-    lo, hi = exact_int(lo, "range start"), exact_int(hi, "range end")
+    lo, hi = exact_int(lo, "range start"), exact_int(hi, "range end", most=MAX_SIEVE_POINT)
     if lo > hi:
         raise DomainError(f"empty range [{lo}, {hi}]")
     lo = max(lo, 2)
     if lo > hi:
         return []
-    if hi > MAX_SIEVE_POINT:
-        raise CapacityError(f"sieve endpoint {hi} exceeds {MAX_SIEVE_POINT}")
     if hi - lo + 1 > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"sieve span {hi - lo + 1} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
     base = primes_upto(math.isqrt(hi))
@@ -113,9 +109,7 @@ def sieve_range(lo: int, hi: int) -> list[int]:
 
 def spf_table(n: int) -> np.ndarray:
     """Smallest-prime-factor table: spf[x] for 0 <= x <= n, spf[0] = spf[1] = 0."""
-    n = exact_int(n, "table bound", 0)
-    if n > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"spf table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
+    n = exact_int(n, "table bound", 0, DEFAULT_SPAN_CAPACITY)
     spf = np.arange(n + 1, dtype=np.int64)
     spf[4::2] = 2
     # odd primes largest first, so the smallest prime factor is written last
@@ -175,13 +169,12 @@ def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
 
 def _iter_blocks(kind: str, lo: int, hi: int,
                  block: int | None) -> Iterator[tuple[int, np.ndarray]]:
-    lo, hi = exact_int(lo, "block range start", 0), exact_int(hi, "block range end")
+    lo = exact_int(lo, "block range start", 0)
+    hi = exact_int(hi, "block range end", most=MAX_SIEVE_POINT)
     if hi < lo:
         raise DomainError(f"bad block range [{lo}, {hi}]")
     if block is not None:
         block = exact_int(block, "block size", 1)
-    if hi > MAX_SIEVE_POINT:
-        raise CapacityError(f"block scan endpoint {hi} exceeds {MAX_SIEVE_POINT}")
     base = primes_upto(math.isqrt(hi)) if hi >= 4 else np.empty(0, dtype=np.int64)
     if block is None:
         block = min(SEGMENT, max(VALUE_BLOCK, BLOCK_PER_BASE_PRIME * base.size))
@@ -208,9 +201,7 @@ def iter_sigma_blocks(hi: int, lo: int = 1,
 
 
 def _dense_table(kind: str, n: int) -> np.ndarray:
-    n = exact_int(n, "table bound", 0)
-    if n > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"dense {kind} table to {n} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
+    n = exact_int(n, "table bound", 0, DEFAULT_SPAN_CAPACITY)
     out = np.zeros(n + 1, dtype=np.int64)
     for start, vals in _iter_blocks(kind, 0, n, None):
         out[start : start + vals.size] = vals

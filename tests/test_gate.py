@@ -1,14 +1,16 @@
 """The argument gate: every public integer parameter is an exact int or a
-DomainError, whatever the caches already hold."""
+DomainError, and an argument past its ceiling is a CapacityError raised
+before any work, whatever the caches already hold."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import phisigma
 import phisigma.configs as configs
-from phisigma import arith
-from phisigma.errors import DomainError
+from phisigma import arith, preimages, sievelab, sieves
+from phisigma.errors import CapacityError, DomainError
 
 SIGMA_R2_MATRIX = ((564089, 128339), (505493, 165383))
 
@@ -106,3 +108,69 @@ def test_no_gate_on_a_cache_hit_or_per_loop_step(monkeypatch):
     gated.clear()
     assert arith._find_nontrivial_factor(1000003 * 1000033) in (1000003, 1000033)
     assert gated == []
+
+
+def test_a_cached_numpy_int_does_not_answer_for_a_float():
+    assert arith.is_prime(np.int64(7))
+    with pytest.raises(DomainError):
+        arith.is_prime(7.0)
+    assert arith.prime_power_sigma_all(np.int64(31)) == ((5, 2), (2, 4))
+    with pytest.raises(DomainError):
+        arith.prime_power_sigma_all(31.0)
+
+
+class _Work(Exception):
+    """Raised by a patched first step of the work: the gate let the call in."""
+
+
+def _work(*args, **kwargs):
+    raise _Work
+
+
+SPAN, POINT = sieves.DEFAULT_SPAN_CAPACITY, sieves.MAX_SIEVE_POINT
+
+# One row per argument whose ceiling the gate holds: the call with the
+# argument v, the argument's name in the error, its ceiling, the first step
+# of the work (patched to raise _Work), and whether a call at the ceiling
+# reaches that step before anything costly (a dense table at the ceiling
+# allocates first).
+CEILINGS = [
+    ("primes_upto", lambda v: sieves.primes_upto(v), "prime bound", SPAN, "_prime_flags", True),
+    ("sieve_range", lambda v: sieves.sieve_range(v - 10, v), "range end", POINT,
+     "primes_upto", True),
+    ("spf_table", lambda v: sieves.spf_table(v), "table bound", SPAN, "primes_upto", False),
+    ("phi_table", lambda v: sieves.phi_table(v), "table bound", SPAN, "primes_upto", False),
+    ("iter_phi_blocks", lambda v: sieves.iter_phi_blocks(v, v), "block range end", POINT,
+     "primes_upto", True),
+    ("count_shifted_almost_primes",
+     lambda v: sievelab.count_shifted_almost_primes(v, Fraction(1, 8), 1), "x", SPAN,
+     "spf_table", True),
+    ("count_prime_pairs", lambda v: sievelab.count_prime_pairs(2, v), "x", SPAN,
+     "_prime_flags", True),
+    ("ratio_power_sum", lambda v: sievelab.ratio_power_sum(2.0, v), "x", SPAN,
+     "primes_upto", True),
+    ("multiplicity_table", lambda v: preimages.multiplicity_table("phi", v, 1000),
+     "table bound", 1000, "_prime_flags", True),
+    ("minimal_m_with_multiplicity",
+     lambda v: preimages.minimal_m_with_multiplicity(2, "sigma", v, 1000), "table bound", 1000,
+     "_prime_flags", True),
+]
+
+
+@pytest.mark.parametrize("call, what, ceiling, first_step, cheap",
+                         [row[1:] for row in CEILINGS], ids=[row[0] for row in CEILINGS])
+def test_an_argument_past_its_ceiling_is_refused_before_any_work(
+        monkeypatch, call, what, ceiling, first_step, cheap):
+    monkeypatch.setattr(sieves, first_step, _work)
+    with pytest.raises(CapacityError, match="exceeds capacity") as exc:
+        call(ceiling + 1)
+    assert str(exc.value) == f"{what} {ceiling + 1} exceeds capacity {ceiling}"
+    if cheap:
+        with pytest.raises(_Work):
+            call(ceiling)
+
+
+def test_a_ceiling_is_checked_when_its_argument_is_gated():
+    # an odd gap and an x past its ceiling: x is gated before the gap's parity
+    with pytest.raises(CapacityError, match="x 300000000 exceeds capacity"):
+        sievelab.count_prime_pairs(3, 3 * 10 ** 8)
