@@ -454,9 +454,9 @@ def theorem2_search(m: int, r: int, n: int = 2, pool_bound: int = 10 ** 6,
     """
     m = arith.exact_int(m, "base value", 1)
     k = _base_multiplicity("phi", m)
-    r, n = arith.exact_int(r, "r", 1), arith.exact_int(n, "n")
+    r, n = arith.exact_int(r, "r", 1), arith.exact_int(n, "n", 2)
     pool_bound = arith.exact_int(pool_bound, "pool bound")
-    budget, seed = arith.exact_int(budget, "budget"), arith.exact_int(seed, "seed")
+    budget, seed = arith.exact_int(budget, "budget", 0), arith.exact_int(seed, "seed")
     if r == 1:
         cert = Certificate(None, m, k, phi_preimages(m), ())
         return 1, cert, SearchStats(found=True)

@@ -196,7 +196,7 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
         raise DomainError(f"beta must be positive and finite, got {beta}")
     beta = float(beta)
     x = arith.exact_int(x, "x", 1, DEFAULT_SPAN_CAPACITY)
-    prime_cutoff = arith.exact_int(prime_cutoff, "prime cutoff", 2)
+    prime_cutoff = arith.exact_int(prime_cutoff, "prime cutoff", 2, DEFAULT_SPAN_CAPACITY)
     try:
         c_beta = 1.0
         for p in primes_upto(prime_cutoff).tolist():

@@ -4,12 +4,12 @@ All heavy scans run on numpy arrays in segments, in the style of Bays and
 Hudson (BIT 17, 1977), so memory stays bounded regardless of the requested
 range.  Two segment sizes serve two kinds of scan:
 
-- sieve_range marks composites in boolean segments of SEGMENT = 2**22
-  entries, one byte write per entry struck.  It loops only over the base
-  primes no longer than the segment, one strided store each; a longer base
-  prime hits the segment at most once, so those are struck together in one
-  vector step.  Far from 0 (78,498 base primes near 10**12) a short window
-  thus costs a few array operations, not a Python step per base prime.
+- One strike serves every prime flag, from 0 (_prime_flags) or far from it
+  (sieve_range), in boolean segments of SEGMENT = 2**22 entries, with base
+  primes from the same sieve.  It strikes the evens in one stride and each
+  odd base prime p in strides of 2p; one with 2p longer than the segment
+  hits it at most once, so those share one vector step.  Far from 0 (78,498
+  base primes near 10**12) a short window costs a few array operations.
 - The phi and sigma value blocks come from one kernel with three work
   arrays (the values, the unfactored rest, and the value of the current
   prime's part).  It touches each entry once per prime power dividing it,
@@ -47,29 +47,40 @@ import numpy as np
 from .arith import _PRIME_POWER_RULE, exact_int
 from .errors import CapacityError, DomainError
 
-SEGMENT = 1 << 22  # boolean sieve_range segment; also the value-block ceiling
+SEGMENT = 1 << 22  # boolean prime-sieve segment; also the value-block ceiling
 VALUE_BLOCK = 1 << 17  # value block, sized for L2
 BLOCK_PER_BASE_PRIME = 64  # value block floor, per base prime
 DEFAULT_SPAN_CAPACITY = 2 * 10 ** 8
 MAX_SIEVE_POINT = DEFAULT_SPAN_CAPACITY ** 2  # keeps base-prime sieves below the span cap
 
 
+def _strike(flags: np.ndarray, start: int, base: np.ndarray) -> None:
+    """Clear the composites in flags, the points [start, start + flags.size),
+    given base, the odd primes up to the root of the last; 0 and 1 are left alone."""
+    flags[max(4, start + start % 2) - start :: 2] = False
+    split = int(np.searchsorted(base, flags.size // 2, side="right"))
+    # each p from its first odd multiple >= max(p*p, start)
+    for p in base[:split].tolist():
+        flags[max(p * p, (-(-start // p) | 1) * p) - start :: 2 * p] = False
+    # an odd prime with 2p longer than the segment hits it at most once
+    wide = base[split:]
+    first = np.maximum(wide * wide, (-(-start // wide) | 1) * wide) - start
+    flags[first[first < flags.size]] = False
+
+
 def _prime_flags(n: int) -> np.ndarray:
-    """flags[k] is True iff k is prime, for 0 <= k <= n (n >= 1)."""
+    """flags[k] is True iff k is prime, for 0 <= k <= n (n >= 0)."""
     flags = np.ones(n + 1, dtype=bool)
     flags[:2] = False
-    flags[4::2] = False
-    for p in range(3, math.isqrt(n) + 1, 2):
-        if flags[p]:
-            flags[p * p :: 2 * p] = False
+    base = np.flatnonzero(_prime_flags(math.isqrt(n)))[1:] if n >= 9 else np.empty(0, np.int64)
+    for start in range(0, n + 1, SEGMENT):
+        _strike(flags[start : start + SEGMENT], start, base)
     return flags
 
 
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array."""
     n = exact_int(n, "prime bound", 0, DEFAULT_SPAN_CAPACITY)
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
     return np.flatnonzero(_prime_flags(n)).astype(np.int64, copy=False)
 
 
@@ -87,22 +98,11 @@ def sieve_range(lo: int, hi: int) -> list[int]:
         return []
     if hi - lo + 1 > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"sieve span {hi - lo + 1} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    base = primes_upto(math.isqrt(hi))
+    base = primes_upto(math.isqrt(hi))[1:]
     out: list[int] = []
     for start in range(lo, hi + 1, SEGMENT):
-        stop = min(start + SEGMENT, hi + 1)
-        flags = np.ones(stop - start, dtype=bool)
-        split = int(np.searchsorted(base, stop - start, side="right"))
-        for p in base[:split].tolist():
-            first = max(p * p, (start + p - 1) // p * p)
-            if first < stop:
-                flags[first - start :: p] = False
-        # a base prime longer than the segment hits it at most once
-        wide = base[split:]
-        first = np.maximum(wide * wide, -(-start // wide) * wide)
-        flags[first[first < stop] - start] = False
-        if start <= 1:
-            flags[: 2 - start] = False
+        flags = np.ones(min(SEGMENT, hi + 1 - start), dtype=bool)
+        _strike(flags, start, base)
         out.extend((np.flatnonzero(flags) + start).tolist())
     return out
 
@@ -175,7 +175,7 @@ def _iter_blocks(kind: str, lo: int, hi: int,
         raise DomainError(f"bad block range [{lo}, {hi}]")
     if block is not None:
         block = exact_int(block, "block size", 1)
-    base = primes_upto(math.isqrt(hi)) if hi >= 4 else np.empty(0, dtype=np.int64)
+    base = primes_upto(math.isqrt(hi))
     if block is None:
         block = min(SEGMENT, max(VALUE_BLOCK, BLOCK_PER_BASE_PRIME * base.size))
     # a generator expression: the checks above run on the call, not on first use

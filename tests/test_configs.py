@@ -310,6 +310,15 @@ def test_theorem2_rejects_unattained_base():
         theorem2_search(3, 2)  # no x has totient 3
 
 
+def test_theorem2_checks_the_search_floors_for_every_r():
+    # r = 1 needs no search, but takes the same arguments as r = 2
+    for r in (1, 2):
+        with pytest.raises(DomainError, match="n must be at least 2, got -5"):
+            theorem2_search(1, r, n=-5, pool_bound=-1, budget=-1)
+        with pytest.raises(DomainError, match="budget must be nonnegative, got -1"):
+            theorem2_search(1, r, n=2, budget=-1)
+
+
 def test_corollary3_plan_values():
     plan = corollary3_plan(6)
     assert plan.prime_factor == 2

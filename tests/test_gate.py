@@ -149,6 +149,8 @@ CEILINGS = [
      "_prime_flags", True),
     ("ratio_power_sum", lambda v: sievelab.ratio_power_sum(2.0, v), "x", SPAN,
      "primes_upto", True),
+    ("ratio_power_sum_cutoff", lambda v: sievelab.ratio_power_sum(2.0, 100, v),
+     "prime cutoff", SPAN, "primes_upto", True),
     ("multiplicity_table", lambda v: preimages.multiplicity_table("phi", v, 1000),
      "table bound", 1000, "_prime_flags", True),
     ("minimal_m_with_multiplicity",

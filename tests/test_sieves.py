@@ -1,5 +1,6 @@
 """Segmented sieve layer checked against per-value arithmetic."""
 
+import bisect
 import math
 import random
 
@@ -55,6 +56,28 @@ def test_sieve_range_far_segment():
     lo = 10 ** 12
     hi = lo + 2000
     assert sieve_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)]
+
+
+def test_sieve_range_starts_at_or_below_one():
+    assert sieve_range(-5, 10) == [2, 3, 5, 7]
+    assert sieve_range(-5, -1) == []
+    assert sieve_range(0, 1) == []
+    assert sieve_range(-3, 2) == [2]
+
+
+def test_segment_edges_against_is_prime(monkeypatch):
+    # sieve_range shares the strike, so is_prime is the oracle here
+    for n in range(SEGMENT - 2, SEGMENT + 3):
+        got = primes_upto(n)
+        want = [k for k in range(n - 1999, n + 1) if is_prime(k)]
+        assert got[got > n - 2000].tolist() == want, n
+    for lo in (10 ** 14, 10 ** 16 - 3001):  # an even start and an odd one
+        hi = lo + 3000
+        assert sieve_range(lo, hi) == [k for k in range(lo, hi + 1) if is_prime(k)], lo
+    monkeypatch.setattr(phisigma.sieves, "SEGMENT", 64)
+    want = [k for k in range(1501) if is_prime(k)]
+    for n in range(1501):
+        assert primes_upto(n).tolist() == want[: bisect.bisect_right(want, n)], n
 
 
 def test_sieve_range_span_capacity():
