@@ -391,13 +391,24 @@ def sigma_prime_power(p: int, e: int) -> int:
 def _prime_powers_with_sigma(d: int, min_exponent: int):
     """Yield each prime power pi**b with sigma(pi**b) == d and
     b >= min_exponent >= 2, by ascending b.  For b >= 2 the base is pinned
-    down: pi**b < sigma(pi**b) < (pi+1)**b, so pi must equal iroot(d, b)."""
-    b = min_exponent
-    while (1 << (b + 1)) - 1 <= d:
+    down: pi**b < sigma(pi**b) < (pi+1)**b, so pi must equal iroot(d, b).
+
+    Exponents are pruned before any root is taken:
+    - pi = 2: sigma(2**b) = 2**(b+1) - 1, so d + 1 must be a power of two.
+    - Odd pi: sigma(pi**b) is a sum of b + 1 odd terms, so b + 1 has the
+      parity of d; and sigma(pi**b) >= sigma(3**b) = (3**(b+1) - 1)/2, so
+      only b with 3**(b+1) <= 2d + 1 can solve.
+    pi = 2 comes last: its b has d = 2**(b+1) - 1 < (3**(b+1) - 1)/2, while
+    an odd-pi exponent b' has (3**(b'+1) - 1)/2 <= d, so b' < b.
+    """
+    b = min_exponent + (min_exponent + d + 1) % 2  # b + 1 has the parity of d
+    while 3 ** (b + 1) <= 2 * d + 1:  # so iroot(d, b) >= 3
         pi = _iroot(d, b)
-        if pi >= 2 and pi ** (b + 1) - 1 == d * (pi - 1) and is_prime(pi):
+        if pi ** (b + 1) - 1 == d * (pi - 1) and is_prime(pi):
             yield pi, b
-        b += 1
+        b += 2
+    if d & (d + 1) == 0 and d.bit_length() > min_exponent:
+        yield 2, d.bit_length() - 1
 
 
 def prime_power_sigma_solve(d: int, min_exponent: int = 2) -> tuple[int, int] | None:

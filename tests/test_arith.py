@@ -267,6 +267,36 @@ def test_prime_power_sigma_examples():
     assert prime_power_sigma_all(31) == ((5, 2), (2, 4))
 
 
+def _every_exponent_sigma_reps(d, min_exponent):
+    """The solver before exponent pruning: one root for every b >= min_exponent
+    with 2**(b+1) - 1 <= d."""
+    out = []
+    b = min_exponent
+    while (1 << (b + 1)) - 1 <= d:
+        pi = arith._iroot(d, b)
+        if pi >= 2 and pi ** (b + 1) - 1 == d * (pi - 1) and is_prime(pi):
+            out.append((pi, b))
+        b += 1
+    return out
+
+
+def test_pruned_sigma_exponents_match_every_exponent_loop():
+    rng = random.Random(1515)
+    structured = {sigma_prime_power(p, b) for p in (2, 3, 5, 7, 31, 127, 8191, 10007)
+                  for b in range(1, 40)}
+    randoms = [rng.randrange(1, 10 ** 30) for _ in range(500)]
+    for d in [*range(1, 10 ** 5), *sorted(structured), *randoms]:
+        want = _every_exponent_sigma_reps(d, 2)
+        for e in (2, 3, 4):
+            want_e = [r for r in want if r[1] >= e]
+            assert list(arith._prime_powers_with_sigma(d, e)) == want_e, (d, e)
+            if d in structured:
+                assert prime_power_sigma_solve(d, e) == (want_e[0] if want_e else None), (d, e)
+        if d in structured:
+            first = [(d - 1, 1)] if sympy.isprime(d - 1) else []
+            assert prime_power_sigma_all(d) == tuple(first + want), d
+
+
 def test_factoring_fallback_failure_is_capacity_error(monkeypatch):
     # With rho switched off, a prime handed in as composite exhausts trial
     # division; the failure is a CapacityError, still a RuntimeError.

@@ -102,7 +102,7 @@ def test_no_gate_on_a_cache_hit_or_per_loop_step(monkeypatch):
         arith.is_prime(1000003)
         arith.prime_power_sigma_all(31)
     assert gated == []
-    # 58 exponents, one root each, and no solution: no is_prime call either
+    # 18 exponents (even b from 2 to 36), one root each, and no solution: no is_prime call either
     assert arith.prime_power_sigma_solve(2 ** 60 + 1, 2) is None
     assert gated == ["sigma value", "min_exponent"]
     gated.clear()

@@ -228,6 +228,57 @@ def test_one_factorization_per_target(monkeypatch):
     assert phisigma.preimages._divisor_list(m) == tuple(divisors(m))
 
 
+def _count_fills(monkeypatch):
+    """Record (m, map_kind) for every knapsack built from now on, from an empty cache."""
+    built = []
+
+    class Counted(phisigma.preimages._DivisorDP):
+        def __init__(self, m, map_kind):
+            built.append((m, map_kind))
+            super().__init__(m, map_kind)
+
+    monkeypatch.setattr(phisigma.preimages, "_DivisorDP", Counted)
+    phisigma.preimages._divisor_dp.cache_clear()
+    return built
+
+
+def test_one_knapsack_fill_per_target_and_map(monkeypatch):
+    built = _count_fills(monkeypatch)
+    m = 2 ** 7 * 3 ** 3 * 5 * 7 * 11  # 256 divisors
+    sols = phi_preimages(m).solutions
+    assert multiplicity(m, "phi") == len(sols)
+    assert built == [(m, "phi")]
+    count = multiplicity(m, "sigma")
+    assert count == len(sigma_preimages(m).solutions)
+    assert built == [(m, "phi"), (m, "sigma")]
+    assert phi_preimages(m).solutions == sols  # solutions() leaves the cached knapsack intact
+    with pytest.raises(DomainError):
+        multiplicity(float(m), "phi")  # the gate runs before the cache
+    assert multiplicity(np.int64(m), "sigma") == count
+    assert len(built) == 2
+    assert 0 < phisigma.preimages._divisor_dp.cache_info().maxsize <= 64
+
+
+def test_capacity_checked_on_a_cached_knapsack(monkeypatch):
+    built = _count_fills(monkeypatch)
+    m = 2 ** 4 * 3 ** 2 * 5 * 7 * 13
+    count = multiplicity(m, "phi")
+    monkeypatch.setattr(phisigma.preimages, "ENUM_CAPACITY", count - 1)
+    with pytest.raises(CapacityError):
+        phi_preimages(m)
+    assert built == [(m, "phi")]
+
+
+def test_counts_match_enumeration_after_eviction(monkeypatch):
+    built = _count_fills(monkeypatch)
+    m = 2 ** 4 * 3 ** 2 * 5 * 7 * 13
+    count = multiplicity(m, "sigma")
+    for k in range(1, phisigma.preimages._divisor_dp.cache_info().maxsize + 1):
+        multiplicity(2 * k, "sigma")
+    assert len(sigma_preimages(m).solutions) == count
+    assert built.count((m, "sigma")) == 2  # evicted, then filled again
+
+
 def _sieved_table(kind, m_bound):
     """Multiplicity table by sieving phi or sigma over every x the bound
     allows (x <= 2*m_bound**2 for phi, x <= m_bound for sigma) and one bincount."""
