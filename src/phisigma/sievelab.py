@@ -42,18 +42,27 @@ class AlmostPrimeCount:
 
 
 def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeCount:
-    """Exact count via a prime sieve on (x/2, x] and a smallest-factor table.
+    """Exact count, streamed through windows of u = (s - a)/2 in bounded memory.
 
     The factor-size test is exact: p > x**(num/den) iff p**den > x**num iff
-    p > iroot(x**num, den).  x**num is built exactly, so an alpha whose
+    p > R = iroot(x**num, den).  x**num is built exactly, so an alpha whose
     numerator would take it past _POWER_BITS_CAPACITY bits raises
     CapacityError before any sieving.
+
+    u is rough when its least prime exceeds R.  A composite u has its least
+    prime <= isqrt(u), so among the composite u, clearing the multiples of
+    the primes up to min(R, isqrt(u_hi)) leaves exactly the rough ones.  Each
+    window of u strikes the s = 2u + a (read at stride 2) and the u
+    themselves, and counts the u with s prime, u composite and u left in
+    that mask.  The rough prime powers p**j (j >= 2, R < p <= isqrt(u_hi))
+    have one distinct prime, so they are cleared from the mask first.  No
+    table over [0, x] is built.
     """
     import numpy as np
 
-    from .sieves import DEFAULT_SPAN_CAPACITY, sieve_range, spf_table
+    from . import sieves
 
-    x = arith.exact_int(x, "x", 16, DEFAULT_SPAN_CAPACITY)
+    x = arith.exact_int(x, "x", 16, sieves.DEFAULT_SPAN_CAPACITY)
     alpha = _exact_alpha(alpha)
     a = arith.exact_int(a, "shift")
     if a not in (1, -1):
@@ -64,16 +73,36 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
         raise CapacityError(
             f"x ** {alpha.numerator} would exceed {_POWER_BITS_CAPACITY} bits; "
             f"use an alpha with a smaller numerator")
-    spf = spf_table((x + 1) // 2)
-    u = (np.array(sieve_range(x // 2 + 1, x), dtype=np.int64) - a) // 2
-    least = spf[u]
-    keep = least > arith.iroot(x ** alpha.numerator, alpha.denominator)
-    v, least = u[keep], least[keep]
-    div = v % least == 0
-    while div.any():  # strip every power of the least prime
-        v = np.where(div, v // least, v)
-        div = v % least == 0
-    count = int(np.count_nonzero(v > 1))  # a second distinct prime remains
+    rough_bound = arith.iroot(x ** alpha.numerator, alpha.denominator)
+    u_lo, u_hi = (x // 2 + 2 - a) // 2, (x - a) // 2  # s = 2u + a in (x/2, x]
+    root = math.isqrt(u_hi)
+    base = sieves._base_primes(x)
+    primes = np.concatenate(([2], base[base <= root]))
+    sifting = primes[primes <= rough_bound].tolist()
+    powers = []
+    for p in primes[primes > rough_bound].tolist():
+        q = p * p
+        while q <= u_hi:
+            powers.append(q)
+            q *= p
+    powers = np.array(powers, dtype=np.int64)
+    size = min(sieves.STRIKE, u_hi + 1 - u_lo)
+    s_buf = np.empty(2 * size, dtype=bool)
+    u_buf = np.empty(size, dtype=bool)
+    r_buf = np.empty(size, dtype=bool)
+    count = 0
+    for u0 in range(u_lo, u_hi + 1, size):
+        n = min(size, u_hi + 1 - u0)
+        s_flags, u_flags, rough = s_buf[: 2 * n - 1], u_buf[:n], r_buf[:n]
+        sieves._strike(s_flags, 2 * u0 + a, base)
+        sieves._strike(u_flags, u0, base)
+        rough[:] = True
+        for p in sifting:
+            rough[-u0 % p :: p] = False
+        rough[powers[(powers >= u0) & (powers < u0 + n)] - u0] = False
+        rough &= s_flags[::2]
+        rough &= ~u_flags
+        count += int(np.count_nonzero(rough))
     ratio = count / (x / math.log(x) ** 2)
     ref = lemma3_reference_constant(alpha) if alpha == Fraction(1, 8) else None
     return AlmostPrimeCount(x, a, alpha, count, ratio, ref)
@@ -97,21 +126,34 @@ def lemma3_reference_constant(alpha: Fraction = Fraction(1, 8)) -> float:
 def count_prime_pairs(k: int, x: int) -> int:
     """Number of primes p <= x - k with p + k also prime.
 
+    [0, x] is struck one segment at a time, carrying the flags of the last k
+    points, so the memory is k plus one segment.
+
     >>> count_prime_pairs(2, 10)
     2
     """
     import numpy as np
 
-    from .sieves import DEFAULT_SPAN_CAPACITY, _prime_flags
+    from . import sieves
 
     k = arith.exact_int(k, "pair gap", 2)
-    x = arith.exact_int(x, "x", most=DEFAULT_SPAN_CAPACITY)
+    x = arith.exact_int(x, "x", most=sieves.DEFAULT_SPAN_CAPACITY)
     if k % 2:
         raise DomainError(f"pair gap must be an even integer >= 2, got {k}")
     if x <= k:
         raise DomainError(f"need x > k, got x={x}, k={k}")
-    flags = _prime_flags(x)
-    return int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))
+    base = sieves._base_primes(x)
+    size = sieves.STRIKE
+    # buf[:k] carries the flags of the k points before each segment
+    buf = np.zeros(k + min(size, x + 1), dtype=bool)
+    count = 0
+    for start in range(0, x + 1, size):
+        n = min(size, x + 1 - start)
+        sieves._strike(buf[k : k + n], start, base)
+        w = buf[: k + n]
+        count += int(np.count_nonzero(w[:-k] & w[k:]))
+        buf[:k] = w[n:]
+    return count
 
 
 def l_value(primes) -> Fraction:

@@ -1,12 +1,16 @@
 """Counting experiments checked against naive enumerations."""
 
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
+import phisigma.sieves
+from phisigma.arith import iroot, is_prime
 from phisigma.errors import CapacityError, DomainError
 from phisigma.sievelab import (
     count_prime_pairs,
@@ -15,8 +19,8 @@ from phisigma.sievelab import (
     lemma3_reference_constant,
     ratio_power_sum,
 )
-from phisigma.sieves import (DEFAULT_SPAN_CAPACITY, phi_table, primes_upto,
-                              sieve_range, spf_table)
+from phisigma.sieves import (DEFAULT_SPAN_CAPACITY, _prime_flags, phi_table,
+                              primes_upto, sieve_range, spf_table)
 
 
 def _naive_shifted_count(x, alpha, a):
@@ -268,6 +272,65 @@ def test_prime_pairs_against_primes_upto():
     flags[primes_upto(x)] = True
     for k in (2, 4, 6, 30, 210):
         assert count_prime_pairs(k, x) == int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))
+
+
+def test_prime_pairs_stream_against_flags(monkeypatch):
+    # 64-point strike segments: gaps of 130 and 200 span more than two of them
+    monkeypatch.setattr(phisigma.sieves, "STRIKE", 64)
+    for x in range(3, 1501):
+        flags = _prime_flags(x)
+        for k in (2, 4, 62, 64, 66, 130, 200):
+            if k < x:
+                want = int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))
+                assert count_prime_pairs(k, x) == want, (k, x)
+
+
+def test_prime_pairs_stream_random():
+    rng = random.Random(1616)
+    flags = _prime_flags(2 * 10 ** 5)
+    for _ in range(200):
+        x = rng.randrange(3, 2 * 10 ** 5)
+        k = 2 * rng.randrange(1, min(x, 2000) // 2 + 1)
+        if k < x:
+            want = int(np.count_nonzero(flags[: x - k + 1] & flags[k : x + 1]))
+            assert count_prime_pairs(k, x) == want, (k, x)
+
+
+def test_shifted_count_stream_against_loop(monkeypatch):
+    # 64-point strike segments: every x spans several windows of u and of s
+    monkeypatch.setattr(phisigma.sieves, "STRIKE", 64)
+    for alpha in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2)):
+        for a in (1, -1):
+            for x in range(16, 3001):
+                got = count_shifted_almost_primes(x, alpha, a).count
+                assert got == _loop_shifted_count(x, alpha, a), (x, a, alpha)
+
+
+def test_shifted_count_drops_rough_prime_powers(monkeypatch):
+    # u = 17**2 is rough for x = 1152, alpha = 1/3 (17 > 1152**(1/3)) and
+    # s = 2u - 1 = 577 is a prime in (576, 1152], but u has one distinct prime
+    x, alpha, a = 1152, Fraction(1, 3), -1
+    assert 17 > iroot(x, 3) and is_prime(2 * 17 ** 2 + a) and x // 2 < 2 * 17 ** 2 + a <= x
+    want = _loop_shifted_count(x, alpha, a)
+    assert count_shifted_almost_primes(x, alpha, a).count == want
+    monkeypatch.setattr(phisigma.sieves, "STRIKE", 64)
+    assert count_shifted_almost_primes(x, alpha, a).count == want
+
+
+def test_streamed_counts_hold_segments_not_the_range():
+    # numpy reports its buffers to tracemalloc; a table over [0, x] at
+    # x = 2e7 would take 20 MB of flags or 80 MB of int64
+    calls = (lambda: count_prime_pairs(2, 2 * 10 ** 7),
+             lambda: count_shifted_almost_primes(2 * 10 ** 7, Fraction(1, 8), 1))
+    count_prime_pairs(2, 100)  # any first-call imports happen before tracing
+    tracemalloc.start()
+    try:
+        for call in calls:
+            tracemalloc.reset_peak()
+            call()
+            assert tracemalloc.get_traced_memory()[1] < 8 * 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_shifted_count_refuses_a_numerator_too_large_to_power():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import sympy
 
+import phisigma.arith
 import phisigma.sieves
 from phisigma.arith import euler_phi, is_prime, sigma
 from phisigma.errors import CapacityError, DomainError
@@ -74,10 +75,23 @@ def test_segment_edges_against_is_prime(monkeypatch):
     for lo in (10 ** 14, 10 ** 16 - 3001):  # an even start and an odd one
         hi = lo + 3000
         assert sieve_range(lo, hi) == [k for k in range(lo, hi + 1) if is_prime(k)], lo
-    monkeypatch.setattr(phisigma.sieves, "SEGMENT", 64)
+    monkeypatch.setattr(phisigma.sieves, "STRIKE", 64)
     want = [k for k in range(1501) if is_prime(k)]
     for n in range(1501):
         assert primes_upto(n).tolist() == want[: bisect.bisect_right(want, n)], n
+
+
+def test_small_base_table_cutover(monkeypatch):
+    # base primes come from a fixed table while isqrt(n) < 1000, from the
+    # sieve itself from n = 10**6 on; 997**2 is struck by the largest alone
+    for n in range(10 ** 6 - 1, 10 ** 6 + 2):
+        got = phisigma.sieves._prime_flags(n)
+        for lo in (n - 1999, 997 ** 2 - 999):
+            assert got[lo : lo + 2000].tolist() == [is_prime(k) for k in range(lo, lo + 2000)], n
+    # the table is a copy made on import: patching arith's changes no sieve
+    want = primes_upto(10 ** 5).tolist()
+    monkeypatch.setattr(phisigma.arith, "_SMALL_PRIMES", (2,))
+    assert primes_upto(10 ** 5).tolist() == want
 
 
 def test_sieve_range_span_capacity():
