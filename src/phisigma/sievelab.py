@@ -77,7 +77,7 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
     u_lo, u_hi = (x // 2 + 2 - a) // 2, (x - a) // 2  # s = 2u + a in (x/2, x]
     root = math.isqrt(u_hi)
     base = sieves._base_primes(x)
-    primes = np.concatenate(([2], base[base <= root]))
+    primes = base[base <= root]
     sifting = primes[primes <= rough_bound].tolist()
     powers = []
     for p in primes[primes > rough_bound].tolist():

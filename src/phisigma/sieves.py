@@ -6,10 +6,17 @@ range.  Two segment sizes serve two kinds of scan:
 
 - One strike serves every prime flag, from 0 (_prime_flags, and the pair
   and shifted counts of sievelab, which stream its segments) or far from it
-  (sieve_range).  It strikes the evens in one stride and each odd base prime
-  p in strides of 2p; one with 2p longer than the segment hits it at most
-  once, so those share one vector step.  Its base primes come from a fixed
-  table while they are below 1000 (n < 10**6), and from the same sieve above.
+  (sieve_range).  A segment starts as a copy of the wheel of 2, 3, 5, 7, 11
+  and 13: one period of 30030 flags, the points prime to all six (30 KB,
+  kept as two periods so that any phase is one slice), tiled by doubling
+  copies.  That replaces a fill and six strides, which took about 0.5 ms of
+  each 1.9 ms segment of 2**20 points; a wheel with 17 (period 510510)
+  measured the same.  Then each base prime p above 13 strikes in strides of
+  2p; one with 2p longer than the segment hits it at most once, so those
+  share one vector step.  Best-of times on a 2-core Xeon, without -> with
+  the wheel: _prime_flags to 5e6 7.9 -> 5.8 ms, the pairs to 4.97e6 8.4 ->
+  6.4 ms, _prime_flags(10) 12.6 -> 9.4 us.  The base primes of every sieve
+  are a prefix of one memoised list (see _base_primes).
   Scans from 0 strike boolean segments of STRIKE = 2**20 entries, which fit
   in L2.  Best-of times on a 2-core Xeon with 2 MB of L2 per core, at
   segments of 2**20 / 2**21 / 2**22 entries: _prime_flags to 2e7 took 39 /
@@ -18,30 +25,40 @@ range.  Two segment sizes serve two kinds of scan:
   Far from 0 each segment loops over every base prime (78,498 near 10**12),
   so sieve_range keeps segments of SEGMENT = 2**22 entries.
 - The phi and sigma value blocks come from one kernel with three work
-  arrays (the values, the unfactored rest, and the value of the current
-  prime's part).  It touches each entry once per prime power dividing it,
-  so it runs in cache-sized blocks of VALUE_BLOCK = 2**17 entries (512 KB
-  per int32 array).  On a 2-core Xeon with 2 MB of L2 per core, phi and
-  sigma to 5e6 took 0.18-0.21 s each at that size; 2**18 came within 6%,
-  2**19 within 10% and 2**16 within 30%.  Far from 0 the per-block loop
-  over the base primes dominates instead (78,498 of them near 10**12), so a
-  block is never shorter than BLOCK_PER_BASE_PRIME entries per base prime,
-  up to SEGMENT entries.
+  arrays (the values, the smooth part of each point, and for sigma the value
+  of the current prime's part).  It touches each entry once per prime power
+  dividing it, so it runs in cache-sized blocks of VALUE_BLOCK = 2**17
+  entries (512 KB per int32 array).  On a 2-core Xeon with 2 MB of L2 per
+  core, phi and sigma to 5e6 took 0.18-0.21 s each at that size; 2**18 came
+  within 6%, 2**19 within 10% and 2**16 within 30%.  Far from 0 the
+  per-block loop over the base primes dominates instead (78,498 of them
+  near 10**12), so a block is never shorter than BLOCK_PER_BASE_PRIME
+  entries per base prime, up to SEGMENT entries.
 
 Both maps are multiplicative and differ only on prime powers, where each
 takes one Horner step, v(p) = p + a and v(p**(j+1)) = v(p**j) * p + c, with
 (a, c) = (-1, 0) for phi and (1, 1) for sigma (arith._PRIME_POWER_RULE).
-The kernel's per-prime work runs on strided views (x[off::p]) only.  What
-is left of x after them is its one prime factor q above sqrt(x), or 1, so
-one dense step adds a where it exceeds 1 and multiplies it in: a boolean
-gather and scatter through a mask would take 35-45% of a block.
+The kernel's per-prime work runs on strided views (x[off::p]) only, and only
+multiplies: a strided int32 multiply costs about 0.6 ns per entry, a
+strided division 2.6 ns (numpy's fast division by a scalar needs a dense
+array).  So the kernel multiplies up the smooth part, the product of the
+base-prime powers dividing x, and divides x by it once, densely, at the end;
+for phi, v(p) = p - 1 and the step c = 0 go straight into the values.  Best
+of times, dividing per prime -> once: a phi block of 2**17 at 4e6 5.0 -> 4.1
+ms, phi blocks to 4.97e6 166 -> 145 ms, a phi window of 4e6 at 10**12 1.0 ->
+0.6 s; sigma within noise, since the dense int32 division (3.4 ns per entry)
+costs what its strided divisions saved.  What is left of x is its one prime
+factor q above sqrt(x), or 1, so one dense step adds a where it exceeds 1
+and multiplies it in: a boolean gather and scatter through a mask would
+take 35-45% of a block.
 
-No intermediate exceeds max(sigma(x), x + 1).  Points stay below
-MAX_SIEVE_POINT = 4e16, where Robin's unconditional bound sigma(n)/n <
-e**gamma * ln ln n + 0.6483 / ln ln n for n >= 3 (J. Math. Pures Appl. 63,
-1984) gives sigma(x) < 6.7x.  So the work arrays are int64 in general and
-int32 for a block whose stop (one past its last entry) has 7 * stop < 2**31,
-which halves their memory traffic; the blocks handed out are always int64.
+No intermediate exceeds max(sigma(x), x + 1): the smooth part divides x.
+Points stay below MAX_SIEVE_POINT = 4e16, where Robin's unconditional bound
+sigma(n)/n < e**gamma * ln ln n + 0.6483 / ln ln n for n >= 3 (J. Math.
+Pures Appl. 63, 1984) gives sigma(x) < 6.7x.  So the work arrays are int64
+in general and int32 for a block whose stop (one past its last entry) has
+7 * stop < 2**31, which halves their memory traffic; the blocks handed out
+are always int64.
 """
 
 from __future__ import annotations
@@ -60,35 +77,73 @@ VALUE_BLOCK = 1 << 17  # value block, sized for L2
 BLOCK_PER_BASE_PRIME = 64  # value block floor, per base prime
 DEFAULT_SPAN_CAPACITY = 2 * 10 ** 8
 MAX_SIEVE_POINT = DEFAULT_SPAN_CAPACITY ** 2  # keeps base-prime sieves below the span cap
-# copied once, so a later patch of arith._SMALL_PRIMES changes no sieve
-_SMALL_ODD_PRIMES = np.array(_SMALL_PRIMES[1:], dtype=np.int64)
+
+
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_PERIOD = math.prod(_WHEEL_PRIMES)
+_WHEEL = np.ones(2 * _PERIOD, dtype=bool)  # two periods (see above)
+for _p in _WHEEL_PRIMES:
+    _WHEEL[::_p] = False
+del _p
+# the primes below 14 are the wheel primes, and the wheel is right from 14 on
+_HEAD = np.zeros(14, dtype=bool)
+_HEAD[list(_WHEEL_PRIMES)] = True
 
 
 def _strike(flags: np.ndarray, start: int, base: np.ndarray) -> None:
     """Set flags[i] to whether start + i is prime, for the points [start,
-    start + flags.size) (start >= 0), given base, the odd primes up to the
-    root of the last (more are harmless)."""
-    flags[:] = True
-    flags[: max(0, 2 - start)] = False  # 0 and 1
-    flags[max(4, start + start % 2) - start :: 2] = False
-    split = int(np.searchsorted(base, flags.size // 2, side="right"))
+    start + flags.size) (start >= 0), given base, the primes up to the root
+    of the last (more are harmless; those up to 13 are not read).
+
+    The segment starts as the wheel pattern at the phase of start; below 14
+    its head (0, 1 and the wheel primes) is copied from _HEAD.  The base
+    primes above the wheel then clear their odd multiples from p*p on."""
+    n = flags.size
+    phase = start % _PERIOD
+    filled = min(n, _PERIOD)
+    flags[:filled] = _WHEEL[phase : phase + filled]
+    while filled < n:  # whole periods, doubling
+        step = min(filled, n - filled)
+        flags[filled : filled + step] = flags[:step]
+        filled += step
+    if start < _HEAD.size:
+        flags[: _HEAD.size - start] = _HEAD[start : start + n]
+    # the array method: np.searchsorted costs three times as much per call
+    lo = int(base.searchsorted(_WHEEL_PRIMES[-1], "right"))
+    split = max(lo, int(base.searchsorted(n // 2, "right")))
     # each p from its first odd multiple >= max(p*p, start)
-    for p in base[:split].tolist():
+    for p in base[lo:split].tolist():
         flags[max(p * p, (-(-start // p) | 1) * p) - start :: 2 * p] = False
     # an odd prime with 2p longer than the segment hits it at most once
     if split < base.size:
         wide = base[split:]
         first = np.maximum(wide * wide, (-(-start // wide) | 1) * wide) - start
-        flags[first[first < flags.size]] = False
+        flags[first[first < n]] = False
+
+
+# Every base list is a prefix of one list of the primes up to a bound, seeded
+# with arith's table (the primes below 1000) and sieved afresh, 1/8 past the
+# root asked for so that nearby roots hit too, when a larger root comes.  It
+# is kept while the bound is at most BASE_MEMO_ROOT = 10**7 (points up to
+# 10**14): 664,579 primes, 5.3 MB; the primes up to 2e8, the largest root
+# MAX_SIEVE_POINT needs, would be 88 MB.  Two threads may both sieve; either
+# result serves, since both hold the same primes.
+BASE_MEMO_ROOT = 10 ** 7
+# copied once, so a later patch of arith._SMALL_PRIMES changes no sieve
+_base = (999, np.array(_SMALL_PRIMES, dtype=np.int64))
 
 
 def _base_primes(n: int) -> np.ndarray:
-    """The odd primes up to isqrt(n) as an int64 array: from a fixed table
-    while isqrt(n) < 1000, else from the sieve itself."""
+    """The primes up to isqrt(n) as an int64 array."""
+    global _base
     root = math.isqrt(n)
-    if root < 1000:
-        return _SMALL_ODD_PRIMES[: int(np.searchsorted(_SMALL_ODD_PRIMES, root, side="right"))]
-    return np.flatnonzero(_prime_flags(root))[1:]
+    bound, primes = _base
+    if root > bound:
+        bound = max(root, min(root + root // 8, BASE_MEMO_ROOT))
+        primes = primes_upto(bound)
+        if bound <= BASE_MEMO_ROOT:
+            _base = bound, primes
+    return primes[: int(primes.searchsorted(root, "right"))]
 
 
 def _prime_flags(n: int) -> np.ndarray:
@@ -120,7 +175,7 @@ def sieve_range(lo: int, hi: int) -> list[int]:
         return []
     if hi - lo + 1 > DEFAULT_SPAN_CAPACITY:
         raise CapacityError(f"sieve span {hi - lo + 1} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    base = primes_upto(math.isqrt(hi))[1:]
+    base = _base_primes(hi)
     out: list[int] = []
     for start in range(lo, hi + 1, SEGMENT):
         flags = np.empty(min(SEGMENT, hi + 1 - start), dtype=bool)
@@ -135,7 +190,7 @@ def spf_table(n: int) -> np.ndarray:
     spf = np.arange(n + 1, dtype=np.int64)
     spf[4::2] = 2
     # odd primes largest first, so the smallest prime factor is written last
-    for p in primes_upto(math.isqrt(n))[:0:-1].tolist():
+    for p in _base_primes(n)[:0:-1].tolist():
         spf[p * p :: 2 * p] = p
     spf[:2] = 0
     return spf
@@ -143,49 +198,61 @@ def spf_table(n: int) -> np.ndarray:
 
 def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
     """phi(x) or sigma(x) for x in [start, stop) as int64; entries below 1 are
-    set to 0."""
+    set to 0.  base holds the primes up to the root of the last point.
+
+    sm collects the smooth part of each point, the product of the base-prime
+    powers p**j dividing it, with one strided multiply per power; the values
+    take phi's p - 1 and p per power directly, or sigma's Horner value of
+    the p-part from fac.  One dense x // sm then gives the cofactor."""
     a, c = _PRIME_POWER_RULE[kind]
     n = stop - start
-    # rem and rem + a stay at most x + 1 <= stop, fac is v(p**j) or
-    # p * v(p**(j-1)) <= v(p**j), and val is v(d) for a divisor d of x, so no
-    # intermediate exceeds max(sigma(x), stop) < 7 * stop (Robin's bound, in
-    # the module docstring): int32 cannot overflow while 7 * stop < 2**31.
+    # sm is the base-prime part of x, a divisor of x, so sm <= x < stop; fac
+    # is v(p**j) or p * v(p**(j-1)) <= v(p**j), and val is v(d) for a
+    # divisor d of x, so no intermediate exceeds max(sigma(x), stop) < 7 *
+    # stop (Robin's bound, in the module docstring): int32 cannot overflow
+    # while 7 * stop < 2**31.
     dtype = np.int32 if 7 * stop < 2 ** 31 else np.int64
     val = np.ones(n, dtype=dtype)
-    rem = np.arange(start, stop, dtype=dtype)
-    if start == 0:
-        rem[0] = 1
-    fac = np.empty(n, dtype=dtype)  # value of the p-part, on the multiples of p
+    sm = np.ones(n, dtype=dtype)
+    if c:
+        fac = np.empty(n, dtype=dtype)  # sigma of the p-part, on the multiples of p
     for p in base.tolist():
         if p * p >= stop:
             break
-        # start every stride at its modulus so the x = 0 entry is never divided
+        # start every stride at its modulus so the x = 0 entry is never touched
         first = max(p, (start + p - 1) // p * p)
         if first >= stop:
             continue
         off = first - start
-        rem[off::p] //= p
-        fac[off::p] = p + a
+        sm[off::p] *= p
+        if c:
+            fac[off::p] = p + a
+        else:
+            val[off::p] *= p + a
         pe = p * p
         while pe < stop:
             fs = max(pe, (start + pe - 1) // pe * pe)
             if fs < stop:
-                rem[fs - start :: pe] //= p
-                view = fac[fs - start :: pe]
-                view *= p  # Horner: v(p**j) = p * v(p**(j-1)) + c
+                sm[fs - start :: pe] *= p
                 if c:
+                    view = fac[fs - start :: pe]
+                    view *= p  # Horner: v(p**j) = p * v(p**(j-1)) + c
                     view += c
+                else:  # c = 0: v(p**j) = p * v(p**(j-1))
+                    val[fs - start :: pe] *= p
             pe *= p
-        val[off::p] *= fac[off::p]
-    # rem now holds the one prime factor above sqrt(x), or 1: turn it into
-    # v(q) = q + a (a is +1 or -1) in one dense step, not through a mask
+        if c:
+            val[off::p] *= fac[off::p]
+    # what is left of x is its one prime factor q above sqrt(x), or 1 (0 at
+    # x = 0): one dense division, then v(q) = q + a (a is +1 or -1) in one
+    # dense step, not through a mask
+    rem = np.arange(start, stop, dtype=dtype)
+    rem //= sm
     if a > 0:
         rem += rem > 1
     else:
         rem -= rem > 1
     val *= rem
-    if start == 0:
-        val[0] = 0
     return val.astype(np.int64, copy=False)
 
 
@@ -197,7 +264,7 @@ def _iter_blocks(kind: str, lo: int, hi: int,
         raise DomainError(f"bad block range [{lo}, {hi}]")
     if block is not None:
         block = exact_int(block, "block size", 1)
-    base = primes_upto(math.isqrt(hi))
+    base = _base_primes(hi)
     if block is None:
         block = min(SEGMENT, max(VALUE_BLOCK, BLOCK_PER_BASE_PRIME * base.size))
     # a generator expression: the checks above run on the call, not on first use

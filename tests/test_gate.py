@@ -144,9 +144,9 @@ CEILINGS = [
      "primes_upto", True),
     ("count_shifted_almost_primes",
      lambda v: sievelab.count_shifted_almost_primes(v, Fraction(1, 8), 1), "x", SPAN,
-     "_prime_flags", True),
+     "_base_primes", True),
     ("count_prime_pairs", lambda v: sievelab.count_prime_pairs(2, v), "x", SPAN,
-     "_prime_flags", True),
+     "_base_primes", True),
     ("ratio_power_sum", lambda v: sievelab.ratio_power_sum(2.0, v), "x", SPAN,
      "primes_upto", True),
     ("ratio_power_sum_cutoff", lambda v: sievelab.ratio_power_sum(2.0, 100, v),

@@ -16,6 +16,7 @@ from phisigma.arith import euler_phi, factorize, is_prime, sigma
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
 from phisigma.sievelab import _exact_sum
+from phisigma.sieves import _PERIOD, _base_primes, _block, _strike
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -100,3 +101,55 @@ def test_exact_sum_overflows_where_fsum_does(vals):
     if math.inf not in vals:
         with pytest.raises(OverflowError):
             math.fsum(vals)
+
+
+# The strike's wheel: a segment starts with the wheel pattern at its phase,
+# tiled by doubling, so segments that start near a multiple of the period,
+# straddle one, or span more than two periods are drawn often.
+STRIKE_STARTS = st.one_of(
+    st.integers(0, 10 ** 12),
+    st.builds(lambda k, d: max(0, k * _PERIOD + d), st.integers(0, 10 ** 6), st.integers(-300, 300)),
+)
+STRIKE_SIZES = st.one_of(st.integers(1, 600), st.integers(_PERIOD - 64, 2 * _PERIOD + 64))
+
+
+def _strike_flags(start, size):
+    flags = np.empty(size, dtype=bool)
+    _strike(flags, start, _base_primes(start + size - 1))
+    return flags.tolist()
+
+
+@settings(SETTINGS, max_examples=60)
+@given(STRIKE_STARTS, STRIKE_SIZES)
+def test_strike_against_is_prime(start, size):
+    assert _strike_flags(start, size) == [is_prime(k) for k in range(start, start + size)]
+
+
+@pytest.mark.parametrize("start", range(14))  # 0, 1 and the wheel primes
+def test_strike_from_below_the_wheel_primes(start):
+    for size in [*range(1, 40), _PERIOD + 20]:
+        assert _strike_flags(start, size) == [is_prime(k) for k in range(start, start + size)], size
+
+
+# value windows: from 0, with 7 * stop on both sides of 2**31 (int32 work
+# arrays up to a stop of 306,783,378, int64 above), and anywhere below 10**9
+INT32_STOP = 306_783_378
+BLOCK_WINDOWS = st.one_of(
+    st.tuples(st.just(0), st.integers(1, 3000)),
+    st.builds(lambda stop, width: (stop - width, stop),
+              st.integers(INT32_STOP - 40, INT32_STOP + 40), st.integers(1, 400)),
+    st.builds(lambda start, width: (start, start + width),
+              st.integers(0, 10 ** 9), st.integers(1, 500)),
+)
+
+
+@SETTINGS
+@given(BLOCK_WINDOWS, KINDS)
+@example((10 ** 16 - 40, 10 ** 16 + 1), "phi")  # base primes up to 10**8
+@example((10 ** 16 - 40, 10 ** 16 + 1), "sigma")
+def test_value_block_against_pointwise(window, kind):
+    start, stop = window
+    ref = euler_phi if kind == "phi" else sigma
+    got = _block(kind, start, stop, _base_primes(stop - 1))
+    assert got.dtype == np.int64
+    assert got.tolist() == [ref(x) if x else 0 for x in range(start, stop)]

@@ -94,6 +94,31 @@ def test_small_base_table_cutover(monkeypatch):
     assert primes_upto(10 ** 5).tolist() == want
 
 
+def test_base_primes_are_prefixes_of_one_memo(monkeypatch):
+    sieves = phisigma.sieves
+    want = list(sympy.primerange(2 * 10 ** 6))
+    # the memo as on import (the primes below 1000), put back after the test
+    monkeypatch.setattr(sieves, "_base", (999, np.array(want[:168], dtype=np.int64)))
+    for n in (10 ** 12, 3, 0, 999 ** 2, 10 ** 6, 10 ** 12 + 10 ** 9, 1, 4 * 10 ** 12):
+        got = sieves._base_primes(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == want[: bisect.bisect_right(want, math.isqrt(n))], n
+    # a window a little further out takes its base primes from the memo
+    sieved = []
+    real = sieves._prime_flags
+    monkeypatch.setattr(sieves, "_prime_flags", lambda n: sieved.append(n) or real(n))
+    lo = (3 * 10 ** 6) ** 2  # past the bound of 2.25e6 that 4e12 left
+    assert sieve_range(lo, lo + 200) == [k for k in range(lo, lo + 201) if is_prime(k)]
+    assert sieve_range(lo + 10 ** 9, lo + 10 ** 9 + 5) == [
+        k for k in range(lo + 10 ** 9, lo + 10 ** 9 + 6) if is_prime(k)]
+    assert len(sieved) == 1 and sieved[0] >= 3 * 10 ** 6
+    # a root above BASE_MEMO_ROOT is sieved for the call and not kept
+    bound = sieves._base[0]
+    top = sieves.BASE_MEMO_ROOT + 1
+    assert sieves._base_primes(top * top)[-1] == sympy.prevprime(top + 1)
+    assert sieves._base[0] == bound <= sieves.BASE_MEMO_ROOT
+
+
 def test_sieve_range_span_capacity():
     with pytest.raises(CapacityError):
         sieve_range(0, DEFAULT_SPAN_CAPACITY + 10)
