@@ -403,7 +403,9 @@ def _assemble_and_check(kind, r, base_m, cols, q_tuples, masks, stats, budget):
     """
     idx_order = range(len(q_tuples))
     for j1 in idx_order:
-        for others in combinations((j for j in idx_order if j != j1), r - 1):
+        # a q sharing no column with q_1 empties inter_all: skip it up front
+        partners = [j for j in idx_order if j != j1 and masks[j1] & masks[j]]
+        for others in combinations(partners, r - 1):
             if stats.probes >= budget:
                 return None
             js = (j1,) + others

@@ -6,12 +6,15 @@ A preimage x of m is a product of prime-power blocks, one per prime of x,
 whose block values (phi(p**a) or sigma(p**b)) multiply to m.  The engine
 lists each prime's blocks, then fills a 0/1 knapsack over divisor indices
 with exact integer counts: how many ways each divisor of m is a product of
-block values of distinct primes.  multiplicity() reads the count for m and
-enumerates nothing.  phi_preimages() and sigma_preimages() check the same
-count against ENUM_CAPACITY before any solution is built, then backtrack
-from m through states with a nonzero count only, so no branch is explored
-that leads to no solution.  A small cache keeps the last few knapsacks, so
-enumeration and counting of one target fill its knapsack once per map.
+block values of distinct primes.  A block value v reads only the live
+divisors, those with a nonzero count so far, up to m/v, so the fill costs
+the live divisors up to m/v per block, not all divisors >= v.
+multiplicity() reads the count for m and enumerates nothing.
+phi_preimages() and sigma_preimages() check the same count against
+ENUM_CAPACITY before any solution is built, then backtrack from m through
+states with a nonzero count only, so no branch is explored that leads to
+no solution.  A small cache keeps the last few knapsacks, so enumeration
+and counting of one target fill its knapsack once per map.
 
 multiplicity_table() runs the same knapsack over every m <= B at once, in
 numpy: the multiplicities are the coefficients of a Dirichlet product over
@@ -23,7 +26,7 @@ load it.  Its capacity is the number of entries it holds, for either map.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -36,6 +39,13 @@ if TYPE_CHECKING:
 
 SCAN_CAPACITY = 2 * 10 ** 8  # most entries a multiplicity table may hold
 ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may build
+# Most divisors of a per-target m, checked before any is listed (20! has
+# 41,040).  Per entry, this bounds a _divisor_list tuple near 3 MB (2.7 MB of
+# divisors at 2**16, tracemalloc) and a _divisor_dp knapsack near 200 MB
+# (extrapolated): its bytes per divisor grow with the target (0.8 kB at
+# 10,368 divisors, 2.3 kB at 28,224, whose phi fill took 12-24 s on a
+# 2-core Xeon).
+DIVISOR_CAPACITY = 1 << 16
 _FIRST_CHUNK = 1 << 20  # table entries per step of minimal_m_by_multiplicity
 _FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
 # int32 counts halve the memory traffic of the strided adds, and are exact for
@@ -95,8 +105,12 @@ def _prime_blocks(m: int, divs: tuple[int, ...], map_kind: str) -> list[list[tup
 def _divisor_list(m: int) -> tuple[int, ...]:
     """The divisors of m, ascending; both maps of one target factor it once.
     Under one map, enumeration and counting also fill its knapsack once
-    (the cache of _divisor_dp)."""
-    return tuple(arith.divisors(arith.factorize(m)))
+    (the cache of _divisor_dp).  The divisor count is held to
+    DIVISOR_CAPACITY before any divisor is listed."""
+    f = arith.factorize(m)
+    arith.exact_int(math.prod(e + 1 for _, e in f.factors), "divisor count",
+                    most=DIVISOR_CAPACITY)
+    return tuple(arith.divisors(f))
 
 
 class _DivisorDP:
@@ -110,6 +124,11 @@ class _DivisorDP:
     largest prime of a preimage of divs[k].  Counts never fall as primes are
     added, so divs[k] has a representation using the first i primes iff
     i > uses[k][0], or k == 0 (the empty product).
+
+    A block value v reads only the live divisors d, those whose count is
+    already nonzero, up to m // v: v * d divides m iff d divides m // v.  So
+    the fill costs the live divisors up to m / v per block, not every
+    divisor above v.
     """
 
     def __init__(self, m: int, map_kind: str):
@@ -118,17 +137,22 @@ class _DivisorDP:
         self.blocks = _prime_blocks(m, divs, map_kind)
         count = [0] * len(divs)
         count[0] = 1
+        live = [0]  # ascending indices k with count[k] > 0
         uses: list[list[int]] = [[] for _ in divs]
         for i, blocks in enumerate(self.blocks):
             added: dict[int, int] = {}
             for value, _ in blocks:
-                for k in range(index[value], len(divs)):
-                    w = divs[k]
-                    if w % value == 0:
-                        c = count[index[w // value]]
-                        if c:
-                            added[k] = added.get(k, 0) + c
+                cofactor = m // value
+                for j in live:
+                    d = divs[j]
+                    if d > cofactor:
+                        break
+                    if cofactor % d == 0:
+                        k = index[value * d]
+                        added[k] = added.get(k, 0) + count[j]
             for k, c in added.items():  # applied after reading: one block per prime
+                if not count[k]:
+                    insort(live, k)
                 count[k] += c
                 uses[k].append(i)
         self.divs, self.index, self.uses = divs, index, uses
@@ -146,7 +170,9 @@ class _DivisorDP:
             if k == 0:
                 out.append(acc)
             w = divs[k]
-            for j in uses[k][:bisect_left(uses[k], i)]:
+            for j in uses[k]:
+                if j >= i:
+                    break
                 for value, power in blocks[j]:
                     if w % value == 0:
                         rest = index[w // value]
@@ -160,8 +186,8 @@ class _DivisorDP:
 # Counting and enumerating one target share its knapsack, whichever runs
 # first.  An entry holds the divisors, their index, the blocks and the
 # per-divisor prime lists, about 1 kB per divisor (tracemalloc: 0.3 MB at 576
-# divisors, 4-5 MB at 5,184, 9 MB at 10,368).  Eight entries hold both maps of
-# four targets, 40 MB at 5,184 divisors each.
+# divisors, 4-5 MB at 5,184, 9 MB at 10,368, 64 MB at 28,224).  Eight entries
+# hold both maps of four targets, 40 MB at 5,184 divisors each.
 @lru_cache(maxsize=8)
 def _divisor_dp(m: int, map_kind: str) -> _DivisorDP | None:
     """The engine for m, or None when m has no preimage for a parity reason;

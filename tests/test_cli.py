@@ -280,6 +280,14 @@ def test_capacity_exit_code(capsys):
         assert err.startswith(f"capacity error: table bound {bound} exceeds capacity"), argv
 
 
+def test_divisor_count_capacity_exit_code(capsys):
+    for argv in (("inverse", "phi", "1e400"), ("multiplicity", "sigma", "1e300")):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("capacity error: divisor count "), argv
+        assert err.rstrip().endswith(f"exceeds capacity {phisigma.preimages.DIVISOR_CAPACITY}")
+
+
 def test_sieve_count_alpha_numerator_capacity_exit_code(capsys):
     code, out, err = run_main(capsys, "sieve-count", "--x", "1e6", "--a", "-1",
                               "--alpha", "1000001/8000000")

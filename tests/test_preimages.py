@@ -1,6 +1,9 @@
 """Preimage enumeration checked against batch sieve buckets."""
 
+import math
 import random
+import tracemalloc
+from bisect import bisect_left
 from collections import defaultdict
 
 import numpy as np
@@ -277,6 +280,124 @@ def test_counts_match_enumeration_after_eviction(monkeypatch):
         multiplicity(2 * k, "sigma")
     assert len(sigma_preimages(m).solutions) == count
     assert built.count((m, "sigma")) == 2  # evicted, then filled again
+
+
+class _ScanDP:
+    """The scan-every-divisor knapsack, the slow reference for _DivisorDP:
+    each block value v scans every divisor >= v, and the walk slices
+    uses[k] per node."""
+
+    def __init__(self, m, map_kind):
+        divs = phisigma.preimages._divisor_list(m)
+        index = {d: k for k, d in enumerate(divs)}
+        self.blocks = phisigma.preimages._prime_blocks(m, divs, map_kind)
+        count = [0] * len(divs)
+        count[0] = 1
+        uses = [[] for _ in divs]
+        for i, blocks in enumerate(self.blocks):
+            added = {}
+            for value, _ in blocks:
+                for k in range(index[value], len(divs)):
+                    w = divs[k]
+                    if w % value == 0:
+                        c = count[index[w // value]]
+                        if c:
+                            added[k] = added.get(k, 0) + c
+            for k, c in added.items():
+                count[k] += c
+                uses[k].append(i)
+        self.divs, self.index, self.uses = divs, index, uses
+        self.total = count[-1]
+
+    def solutions(self):
+        divs, index, blocks, uses = self.divs, self.index, self.blocks, self.uses
+        first = [u[0] + 1 if u else len(blocks) + 1 for u in uses]
+        first[0] = 0
+        out = []
+
+        def walk(i, k, acc):
+            if k == 0:
+                out.append(acc)
+            w = divs[k]
+            for j in uses[k][:bisect_left(uses[k], i)]:
+                for value, power in blocks[j]:
+                    if w % value == 0:
+                        rest = index[w // value]
+                        if first[rest] <= j:
+                            walk(j, rest, acc * power)
+
+        walk(len(blocks), len(divs) - 1, 1)
+        return out
+
+
+def _differential_targets():
+    rng = random.Random(1819)
+    # m = 1 and 2 (phi(2) = 1: a value-1 block at divisor 1), and targets
+    # built on sigma(2**4) = sigma(5**2) = 31
+    yield from (1, 2, 31, 62, 31 * 3 * 5 * 7, 2 ** 5 * 31 ** 2)
+    yield from (rng.randrange(1, 2 * 10 ** 6) for _ in range(80))
+    # inverse-ladder shapes: 2**a * 3**b * 5**c times k of 7..19, 96-256 divisors
+    for a in range(3, 13):
+        for b in range(4):
+            for c in range(3):
+                k = rng.randrange(1, 4)
+                if 96 <= (a + 1) * (b + 1) * (c + 1) * 2 ** k <= 256:
+                    yield 2 ** a * 3 ** b * 5 ** c * math.prod(rng.sample((7, 11, 13, 17, 19), k))
+    # configuration-shaped 2**r * t, t a product of 2r distinct odd primes
+    primes = [p for p in range(3, 5000) if phisigma.arith.is_prime(p)]
+    for r in (1, 2, 2, 3, 3, 4):
+        yield 2 ** r * math.prod(rng.sample(primes, 2 * r))
+
+
+def test_live_divisor_fill_matches_the_full_scan():
+    for m in _differential_targets():
+        for kind in ("phi", "sigma"):
+            got, want = phisigma.preimages._DivisorDP(m, kind), _ScanDP(m, kind)
+            assert got.total == want.total, (m, kind)
+            assert got.uses == want.uses, (m, kind)
+            assert sorted(got.solutions()) == sorted(want.solutions()), (m, kind)
+    assert sorted(phisigma.preimages._DivisorDP(1, "phi").solutions()) == [1, 2]
+    assert sorted(phisigma.preimages._DivisorDP(2, "phi").solutions()) == [3, 4, 6]
+
+
+def test_a_cached_knapsack_stays_small():
+    # 2,640 divisors: about 1.3 MB per map; a per-divisor edge list for the
+    # walk would about double it
+    m = 2 ** 10 * 3 ** 4 * 5 ** 2 * 7 * 11 * 13 * 17
+    for kind in ("phi", "sigma"):
+        phisigma.preimages._DivisorDP(m, kind)  # fills the divisor and primality caches
+        tracemalloc.start()
+        try:
+            dp = phisigma.preimages._DivisorDP(m, kind)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert dp.total and size < 1_600_000, (kind, size)
+
+
+class _Listed(Exception):
+    """Raised by a patched divisor or block lister: the gate let the call in."""
+
+
+def _listed(*args, **kwargs):
+    raise _Listed
+
+
+def test_divisor_count_past_its_ceiling_is_refused_before_any_listing(monkeypatch):
+    monkeypatch.setattr(phisigma.arith, "divisors", _listed)
+    monkeypatch.setattr(phisigma.preimages, "_prime_blocks", _listed)
+    phisigma.preimages._divisor_list.cache_clear()
+    phisigma.preimages._divisor_dp.cache_clear()
+    cap = phisigma.preimages.DIVISOR_CAPACITY
+    primes = cap.bit_length() - 1
+    assert cap == 1 << primes  # the product of that many primes sits at the ceiling
+    with pytest.raises(CapacityError) as exc:
+        multiplicity(2 ** cap, "phi")  # cap + 1 divisors
+    assert str(exc.value) == f"divisor count {cap + 1} exceeds capacity {cap}"
+    with pytest.raises(CapacityError, match="divisor count 160801 exceeds"):
+        sigma_preimages(10 ** 400)
+    with pytest.raises(_Listed):
+        multiplicity(math.prod(phisigma.arith._SMALL_PRIMES[:primes]), "sigma")
 
 
 def _sieved_table(kind, m_bound):
