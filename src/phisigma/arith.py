@@ -249,6 +249,20 @@ class PrimeFactorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _strip(n: int, p: int) -> tuple[int, int]:
+    """(n // p**e, e) for the largest e with p**e dividing n (n >= 1, p >= 2).
+
+    Once p divides n, n // p is stripped of p**2 by the same rule, which
+    leaves at most one factor p: O(log e) divisions, by p, p**2, p**4, ...
+    """
+    if n % p:
+        return n, 0
+    n, e = _strip(n // p, p * p)
+    if n % p:
+        return n, 2 * e + 1
+    return n // p, 2 * e + 2
+
+
 def _prime_powers(n: int):
     """Yield (p, e) for each prime power p**e exactly dividing n >= 1.
 
@@ -268,10 +282,7 @@ def _prime_powers(n: int):
         if p * p > rem:
             break
         if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
+            rem, e = _strip(rem, p)
             yield p, e
     stack = [rem]
     while stack:
@@ -279,10 +290,7 @@ def _prime_powers(n: int):
         if c == 1:
             continue
         if is_prime(c):
-            e = 0
-            while rem % c == 0:
-                rem //= c
-                e += 1
+            rem, e = _strip(rem, c)
             yield c, e
         else:
             d = _find_nontrivial_factor(c)

@@ -292,8 +292,9 @@ def certify(cfg: PrimeConfig) -> Certificate:
     """Exhaustively enumerate the target's preimages and check the prediction.
 
     Also checks the predicted structure: every solution is the product of
-    the form primes along one matching (times a preimage of base_m for the
-    phi kind).  Raises CertificationError on any disagreement.
+    the form primes along one matching, times a preimage of base_m (for the
+    sigma kind base_m = 1, whose one preimage is 1).  Raises
+    CertificationError on any disagreement.
     """
     report = verify(cfg)
     if not report.overall:
@@ -303,13 +304,9 @@ def certify(cfg: PrimeConfig) -> Certificate:
                 for per in matchings]
     target = cfg.target
     predicted = cfg.predicted_multiplicity
-    if cfg.kind == "sigma":
-        expected = sorted(products)
-        observed = sigma_preimages(target)
-    else:
-        base = phi_preimages(cfg.base_m).solutions
-        expected = sorted(P * w for P in products for w in base)
-        observed = phi_preimages(target)
+    preimages_of = phi_preimages if cfg.kind == "phi" else sigma_preimages
+    expected = sorted(P * w for P in products for w in preimages_of(cfg.base_m).solutions)
+    observed = preimages_of(target)
     if list(observed.solutions) != expected:
         raise CertificationError(
             f"target {target}: predicted {predicted} structured solutions, "

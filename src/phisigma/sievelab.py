@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import arith
 from .errors import CapacityError, DomainError
@@ -51,12 +52,12 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
 
     u is rough when its least prime exceeds R.  A composite u has its least
     prime <= isqrt(u), so among the composite u, clearing the multiples of
-    the primes up to min(R, isqrt(u_hi)) leaves exactly the rough ones.  Each
-    window of u strikes the s = 2u + a (read at stride 2) and the u
-    themselves, and counts the u with s prime, u composite and u left in
-    that mask.  The rough prime powers p**j (j >= 2, R < p <= isqrt(u_hi))
-    have one distinct prime, so they are cleared from the mask first.  No
-    table over [0, x] is built.
+    the primes up to min(R, isqrt(u_hi)) leaves exactly the rough ones.  Two
+    flag streams (sieves._segments) run side by side, over windows of u and
+    over the s = 2u + a of each (read at stride 2).  A window counts the u
+    with s prime and u composite left after clearing the multiples of those
+    primes and the rough prime powers p**j (j >= 2, R < p <= isqrt(u_hi)),
+    which have one distinct prime.  No table over [0, x] is built.
     """
     import numpy as np
 
@@ -75,9 +76,7 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
             f"use an alpha with a smaller numerator")
     rough_bound = arith.iroot(x ** alpha.numerator, alpha.denominator)
     u_lo, u_hi = (x // 2 + 2 - a) // 2, (x - a) // 2  # s = 2u + a in (x/2, x]
-    root = math.isqrt(u_hi)
-    base = sieves._base_primes(x)
-    primes = base[base <= root]
+    primes = sieves._base_primes(u_hi)
     sifting = primes[primes <= rough_bound].tolist()
     powers = []
     for p in primes[primes > rough_bound].tolist():
@@ -86,23 +85,17 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
             powers.append(q)
             q *= p
     powers = np.array(powers, dtype=np.int64)
-    size = min(sieves.STRIKE, u_hi + 1 - u_lo)
-    s_buf = np.empty(2 * size, dtype=bool)
-    u_buf = np.empty(size, dtype=bool)
-    r_buf = np.empty(size, dtype=bool)
+    size = sieves.STRIKE
     count = 0
-    for u0 in range(u_lo, u_hi + 1, size):
-        n = min(size, u_hi + 1 - u0)
-        s_flags, u_flags, rough = s_buf[: 2 * n - 1], u_buf[:n], r_buf[:n]
-        sieves._strike(s_flags, 2 * u0 + a, base)
-        sieves._strike(u_flags, u0, base)
-        rough[:] = True
+    # the last s window has 2n - 1 points for the n of the last u window
+    for (u0, u_flags), (_, s_flags) in zip(
+            sieves._segments(u_lo, u_hi, size),
+            sieves._segments(2 * u_lo + a, 2 * u_hi + a, 2 * size), strict=True):
+        hit = s_flags[::2] & ~u_flags
         for p in sifting:
-            rough[-u0 % p :: p] = False
-        rough[powers[(powers >= u0) & (powers < u0 + n)] - u0] = False
-        rough &= s_flags[::2]
-        rough &= ~u_flags
-        count += int(np.count_nonzero(rough))
+            hit[-u0 % p :: p] = False
+        hit[powers[(powers >= u0) & (powers < u0 + hit.size)] - u0] = False
+        count += int(np.count_nonzero(hit))
     ratio = count / (x / math.log(x) ** 2)
     ref = lemma3_reference_constant(alpha) if alpha == Fraction(1, 8) else None
     return AlmostPrimeCount(x, a, alpha, count, ratio, ref)
@@ -126,8 +119,8 @@ def lemma3_reference_constant(alpha: Fraction = Fraction(1, 8)) -> float:
 def count_prime_pairs(k: int, x: int) -> int:
     """Number of primes p <= x - k with p + k also prime.
 
-    [0, x] is struck one segment at a time, carrying the flags of the last k
-    points, so the memory is k plus one segment.
+    One flag stream (sieves._segments) walks [0, x], each segment headed by
+    the flags of the k points before it, so the memory is k plus one segment.
 
     >>> count_prime_pairs(2, 10)
     2
@@ -142,18 +135,8 @@ def count_prime_pairs(k: int, x: int) -> int:
         raise DomainError(f"pair gap must be an even integer >= 2, got {k}")
     if x <= k:
         raise DomainError(f"need x > k, got x={x}, k={k}")
-    base = sieves._base_primes(x)
-    size = sieves.STRIKE
-    # buf[:k] carries the flags of the k points before each segment
-    buf = np.zeros(k + min(size, x + 1), dtype=bool)
-    count = 0
-    for start in range(0, x + 1, size):
-        n = min(size, x + 1 - start)
-        sieves._strike(buf[k : k + n], start, base)
-        w = buf[: k + n]
-        count += int(np.count_nonzero(w[:-k] & w[k:]))
-        buf[:k] = w[n:]
-    return count
+    return sum(int(np.count_nonzero(w[:-k] & w[k:]))
+               for _, w in sieves._segments(0, x, sieves.STRIKE, carry=k))
 
 
 def l_value(primes) -> Fraction:
@@ -168,12 +151,8 @@ def l_value(primes) -> Fraction:
     for p in ps:
         if not arith.is_prime(p):
             raise DomainError(f"entry {p} is not prime")
-    out = Fraction(1)
-    for g in range(len(ps)):
-        for h in range(g + 1, len(ps)):
-            diff = abs(ps[g] - ps[h])
-            out *= Fraction(diff, arith.euler_phi(diff))
-    return out
+    diffs = [abs(g - h) for g, h in combinations(ps, 2)]
+    return Fraction(math.prod(diffs), math.prod(map(arith.euler_phi, diffs)))
 
 
 def _exact_sum(blocks) -> float:

@@ -5,18 +5,15 @@ Hudson (BIT 17, 1977), so memory stays bounded regardless of the requested
 range.  Two segment sizes serve two kinds of scan:
 
 - One strike serves every prime flag, from 0 (_prime_flags, and the pair
-  and shifted counts of sievelab, which stream its segments) or far from it
-  (sieve_range).  A segment starts as a copy of the wheel of 2, 3, 5, 7, 11
-  and 13: one period of 30030 flags, the points prime to all six (30 KB,
-  kept as two periods so that any phase is one slice), tiled by doubling
-  copies.  That replaces a fill and six strides, which took about 0.5 ms of
-  each 1.9 ms segment of 2**20 points; a wheel with 17 (period 510510)
-  measured the same.  Then each base prime p above 13 strikes in strides of
-  2p; one with 2p longer than the segment hits it at most once, so those
-  share one vector step.  Best-of times on a 2-core Xeon, without -> with
-  the wheel: _prime_flags to 5e6 7.9 -> 5.8 ms, the pairs to 4.97e6 8.4 ->
-  6.4 ms, _prime_flags(10) 12.6 -> 9.4 us.  The base primes of every sieve
-  are a prefix of one memoised list (see _base_primes).
+  and shifted counts of sievelab) or far from it (sieve_range); every flag
+  scan except _prime_flags reads it through one stream, _segments.  A
+  segment starts as a copy of the wheel of 2, 3, 5, 7, 11 and 13: one
+  period of 30030 flags, the points prime to all six (30 KB, kept as two
+  periods so that any phase is one slice), tiled by doubling copies; a
+  wheel with 17 (period 510510) measured the same.  Then each base prime p
+  above 13 strikes in strides of 2p; one with 2p longer than the segment
+  hits it at most once, so those share one vector step.  The base primes
+  of every sieve are a prefix of one memoised list (see _base_primes).
   Scans from 0 strike boolean segments of STRIKE = 2**20 entries, which fit
   in L2.  Best-of times on a 2-core Xeon with 2 MB of L2 per core, at
   segments of 2**20 / 2**21 / 2**22 entries: _prime_flags to 2e7 took 39 /
@@ -43,14 +40,10 @@ multiplies: a strided int32 multiply costs about 0.6 ns per entry, a
 strided division 2.6 ns (numpy's fast division by a scalar needs a dense
 array).  So the kernel multiplies up the smooth part, the product of the
 base-prime powers dividing x, and divides x by it once, densely, at the end;
-for phi, v(p) = p - 1 and the step c = 0 go straight into the values.  Best
-of times, dividing per prime -> once: a phi block of 2**17 at 4e6 5.0 -> 4.1
-ms, phi blocks to 4.97e6 166 -> 145 ms, a phi window of 4e6 at 10**12 1.0 ->
-0.6 s; sigma within noise, since the dense int32 division (3.4 ns per entry)
-costs what its strided divisions saved.  What is left of x is its one prime
-factor q above sqrt(x), or 1, so one dense step adds a where it exceeds 1
-and multiplies it in: a boolean gather and scatter through a mask would
-take 35-45% of a block.
+for phi, v(p) = p - 1 and the step c = 0 go straight into the values.
+What is left of x is its one prime factor q above sqrt(x), or 1, so one
+dense step adds a where it exceeds 1 and multiplies it in: a boolean
+gather and scatter through a mask would take 35-45% of a block.
 
 No intermediate exceeds max(sigma(x), x + 1): the smooth part divides x.
 Points stay below MAX_SIEVE_POINT = 4e16, where Robin's unconditional bound
@@ -69,7 +62,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .arith import _PRIME_POWER_RULE, _SMALL_PRIMES, exact_int
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 SEGMENT = 1 << 22  # sieve_range segment; also the value-block ceiling
 STRIKE = 1 << 20  # prime-flag segment for scans from 0, sized for L2 (see above)
@@ -155,6 +148,23 @@ def _prime_flags(n: int) -> np.ndarray:
     return flags
 
 
+def _segments(lo: int, hi: int, size: int,
+              carry: int = 0) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, flags) over the points [lo, hi] (0 <= lo <= hi), in
+    segments of at most size points.  flags[carry:] holds whether start + i
+    is prime, for the segment's points; flags[:carry] repeats the carry
+    flags before start, False before lo.  flags is one buffer, overwritten
+    by the next segment, so the caller only reads it."""
+    base = _base_primes(hi)
+    buf = np.zeros(carry + min(size, hi + 1 - lo), dtype=bool)
+    for start in range(lo, hi + 1, size):
+        n = min(size, hi + 1 - start)
+        flags = buf[: carry + n]
+        _strike(flags[carry:], start, base)
+        yield start, flags
+        buf[:carry] = flags[n:]  # numpy copies an overlap (n < carry) first
+
+
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array."""
     n = exact_int(n, "prime bound", 0, DEFAULT_SPAN_CAPACITY)
@@ -173,13 +183,9 @@ def sieve_range(lo: int, hi: int) -> list[int]:
     lo = max(lo, 2)
     if lo > hi:
         return []
-    if hi - lo + 1 > DEFAULT_SPAN_CAPACITY:
-        raise CapacityError(f"sieve span {hi - lo + 1} exceeds capacity {DEFAULT_SPAN_CAPACITY}")
-    base = _base_primes(hi)
+    exact_int(hi - lo + 1, "sieve span", most=DEFAULT_SPAN_CAPACITY)
     out: list[int] = []
-    for start in range(lo, hi + 1, SEGMENT):
-        flags = np.empty(min(SEGMENT, hi + 1 - start), dtype=bool)
-        _strike(flags, start, base)
+    for start, flags in _segments(lo, hi, SEGMENT):
         out.extend((np.flatnonzero(flags) + start).tolist())
     return out
 

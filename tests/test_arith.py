@@ -77,6 +77,28 @@ def test_factorize_prime_powers_and_smooth():
     assert f.factors == ((2, 10), (3, 5), (5, 3), (7, 1), (11, 1))
 
 
+def test_strip_matches_one_division_at_a_time():
+    rng = random.Random(19)
+    for _ in range(400):
+        p = rng.choice((2, 3, 5, 7, 97, 997, 10 ** 9 + 7))
+        n = rng.randrange(1, 10 ** 6) * p ** rng.randrange(71)
+        rest, e = n, 0
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        assert arith._strip(n, p) == (rest, e), (n, p)
+
+
+def test_factorize_high_prime_powers_in_few_divisions():
+    # by squaring each takes well under a second; one division per factor
+    # of p would take tens of seconds
+    for n, want in ((3 ** (2 ** 18), ((3, 2 ** 18),)),
+                    (2 ** (2 ** 18) * 3, ((2, 2 ** 18), (3, 1)))):
+        start = time.perf_counter()
+        assert factorize(n).factors == want
+        assert time.perf_counter() - start < 5
+
+
 def test_factorize_primes_shared_by_split_parts():
     # p**2 * q may split into p and p * q: p then turns up in two parts and
     # must be counted once, with its full exponent.

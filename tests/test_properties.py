@@ -16,7 +16,7 @@ from phisigma.arith import euler_phi, factorize, is_prime, sigma
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
 from phisigma.sievelab import _exact_sum
-from phisigma.sieves import _PERIOD, _base_primes, _block, _strike
+from phisigma.sieves import _PERIOD, _base_primes, _block, _segments, _strike
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -129,6 +129,24 @@ def test_strike_against_is_prime(start, size):
 def test_strike_from_below_the_wheel_primes(start):
     for size in [*range(1, 40), _PERIOD + 20]:
         assert _strike_flags(start, size) == [is_prime(k) for k in range(start, start + size)], size
+
+
+# The stream's segments, from near 0 and near 10**12, with a carry shorter
+# and longer than a segment.
+@SETTINGS
+@given(st.one_of(st.integers(0, 40), st.integers(10 ** 12 - 40, 10 ** 12 + 40)),
+       st.integers(1, 300), st.integers(1, 70), st.integers(0, 150))
+def test_segments_against_is_prime(lo, width, size, carry):
+    hi = lo + width - 1
+    ref = [is_prime(k) for k in range(lo, hi + 1)]
+    points = []
+    for start, flags in _segments(lo, hi, size, carry):
+        n = flags.size - carry
+        assert 1 <= n <= size
+        assert flags[:carry].tolist() == [k >= lo and ref[k - lo] for k in range(start - carry, start)]
+        assert flags[carry:].tolist() == ref[start - lo : start - lo + n]
+        points.extend(range(start, start + n))
+    assert points == list(range(lo, hi + 1))
 
 
 # value windows: from 0, with 7 * stop on both sides of 2**31 (int32 work
