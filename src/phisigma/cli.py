@@ -269,8 +269,14 @@ def _theorem2(args) -> dict:
 
 def _l_value(args) -> dict:
     value = sievelab.l_value(args.primes)
+    if max(value.numerator, value.denominator) >= 10 ** _NATURAL_MAX_DIGITS:
+        raise CapacityError(f"l-value terms exceed {_NATURAL_MAX_DIGITS} digits")
+    try:
+        approx = float(value)
+    except OverflowError:
+        raise CapacityError("l-value exceeds the float range") from None
     return {"primes": args.primes, "numerator": value.numerator,
-            "denominator": value.denominator, "value": float(value)}
+            "denominator": value.denominator, "value": approx}
 
 
 # ---------------------------------------------------------------- command table

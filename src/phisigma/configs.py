@@ -12,11 +12,13 @@ checks pins the preimage count of its target exactly:
   sigma kind: sigma-multiplicity of 2**r * t is r.
 
 PrimeConfig stores the kind, the matrix and base_m, and computes base_k once;
-r, n, q and t are derived from the matrix.  The index pairs admit exactly r
-perfect matchings of rows onto columns, the identity and the transpositions
-of row 1 with another row, so they are written down, not searched for.  The
-certifier re-derives the count by exhaustive preimage enumeration and
-refuses to emit a certificate on any disagreement.
+r, n, q, t and the forms are derived from the matrix, the forms once for the
+checks and the certifier; they are pairwise distinct by construction.  The
+index pairs admit exactly r perfect matchings of rows onto columns, the
+identity and the transpositions of row 1 with another row, so they are
+written down, not searched for.  The certifier re-derives the count by
+exhaustive preimage enumeration and refuses to emit a certificate on any
+disagreement.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class PrimeConfig:
     Stores only what cannot be derived: the kind, the matrix and the base
     value base_m (1 for sigma).  base_k, the phi-multiplicity of base_m
     (None for sigma), is computed on construction; r and n are read off the
-    matrix, and the row cofactors q and the product t are computed on first
-    use.
+    matrix, and the row cofactors q, the product t and the condition forms
+    are computed on first use.
     """
 
     kind: str
@@ -105,6 +107,11 @@ class PrimeConfig:
     def t(self) -> int:
         return prod(p for row in self.matrix for p in row)
 
+    @cached_property
+    def forms(self) -> dict[tuple[int, int], int]:
+        """The form value of each condition index pair, in index-set order."""
+        return {(i, j): form_value(self, i, j) for i, j in condition_index_set(self.r)}
+
     @property
     def target(self) -> int:
         return (1 << self.r) * self.t * self.base_m
@@ -129,6 +136,9 @@ def condition_index_set(r: int) -> tuple[tuple[int, int], ...]:
 
 def form_value(cfg: PrimeConfig, i: int, j: int) -> int:
     """The condition form 2 * p[i][0] * q_j + a for 1-based row i, column j."""
+    for index in (i, j):
+        if not 1 <= arith.exact_int(index, "form index") <= cfg.r:
+            raise DomainError(f"form index must lie in 1..{cfg.r}, got {index}")
     return 2 * cfg.matrix[i - 1][0] * cfg.q[j - 1] + _form_sign(cfg.kind)
 
 
@@ -176,34 +186,22 @@ class VerificationReport:
 
 
 def check_condition_i(cfg: PrimeConfig) -> ConditionIResult:
-    """Primality of every required form, distinctness of the form values,
-    and no form value colliding with a matrix entry."""
-    forms = tuple(
-        FormCheck(i, j, v, arith.is_prime(v))
-        for i, j in condition_index_set(cfg.r)
-        for v in (form_value(cfg, i, j),)
-    )
-    duplicate = None
-    seen: set[int] = set()
-    for f in forms:
-        if f.value in seen:
-            duplicate = f.value
-            break
-        seen.add(f.value)
-    entries = set(p for row in cfg.matrix for p in row)
+    """Primality of every required form, and no form value equal to a matrix
+    entry.  The values are pairwise distinct by construction, so values_distinct
+    is True and duplicate_value None: p[i][0] * q_j has the distinct primes
+    {p[i][0]} and row j past column 0 (not empty, as n >= 2).  Equal values at
+    (i, j) and (k, l) with i != k would put p[i][0] in another cell; so i = k,
+    and q_j = q_l forces j = l."""
+    forms = tuple(FormCheck(i, j, v, arith.is_prime(v)) for (i, j), v in cfg.forms.items())
+    entries = {p for row in cfg.matrix for p in row}
     overlap = next((f.value for f in forms if f.value in entries), None)
-    passed = (all(f.prime for f in forms) and duplicate is None
-              and overlap is None)
-    return ConditionIResult(passed, forms, duplicate is None, duplicate, overlap)
+    passed = all(f.prime for f in forms) and overlap is None
+    return ConditionIResult(passed, forms, True, None, overlap)
 
 
 def _t_factors(cfg: PrimeConfig) -> tuple[tuple[int, int], ...]:
     """t's prime factors: every matrix entry to the first power, ascending."""
     return tuple((p, 1) for p in sorted(p for row in cfg.matrix for p in row))
-
-
-def _target_factorization(cfg: PrimeConfig) -> arith.PrimeFactorization:
-    return arith.PrimeFactorization((1 << cfg.r) * cfg.t, ((2, cfg.r),) + _t_factors(cfg))
 
 
 def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
@@ -215,7 +213,8 @@ def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
             "no prime-power divisor demand for the phi kind; form-value "
             "distinctness is part of the condition (i) check")
     threshold = 1 << cfg.r
-    for d in arith.divisors(_target_factorization(cfg)):
+    target = arith.PrimeFactorization(threshold * cfg.t, ((2, cfg.r),) + _t_factors(cfg))
+    for d in arith.divisors(target):
         if d <= threshold:
             continue
         hit = arith.prime_power_sigma_solve(d, 2)
@@ -229,7 +228,7 @@ def check_condition_iii(cfg: PrimeConfig) -> ConditionIIIResult:
     """2*d1*d2 + a must be composite for every d1 | t with d1 > 1 and every
     d2 | 2**(r-1) * base_m, except values literally listed by condition (i)."""
     sign = _form_sign(cfg.kind)
-    exempt = {form_value(cfg, i, j) for i, j in condition_index_set(cfg.r)}
+    exempt = set(cfg.forms.values())
     t_fact = arith.PrimeFactorization(cfg.t, _t_factors(cfg))
     cof = (1 << (cfg.r - 1)) * cfg.base_m
     d2s = arith.divisors(arith.factorize(cof))
@@ -300,8 +299,7 @@ def certify(cfg: PrimeConfig) -> Certificate:
     if not report.overall:
         raise DomainError("certify requires a configuration passing all condition checks")
     matchings = enumerate_matchings(cfg.r)
-    products = [prod(form_value(cfg, i + 1, per[i] + 1) for i in range(cfg.r))
-                for per in matchings]
+    products = [prod(cfg.forms[i + 1, j + 1] for i, j in enumerate(per)) for per in matchings]
     target = cfg.target
     predicted = cfg.predicted_multiplicity
     preimages_of = phi_preimages if cfg.kind == "phi" else sigma_preimages
@@ -479,25 +477,24 @@ class ScalePlan:
 
 
 def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
-    """Plan how to realize phi-multiplicity k: k = p * r with p the smallest
-    prime factor, base m the least value of multiplicity p."""
+    """Plan how to realize phi-multiplicity k = 2 * r (2 is the smallest prime
+    factor of an even k), base m the least value of multiplicity 2."""
     k = arith.exact_int(k, "k", 2)
     if k % 2:
         raise DomainError(f"plan requires an even k >= 2, got {k}")
     table_bound = arith.exact_int(table_bound, "table bound")
-    p = arith.factorize(k).smallest_prime_factor
-    r = k // p
-    rec = minimal_m_with_multiplicity(p, "phi", table_bound)
+    r = k // 2
+    rec = minimal_m_with_multiplicity(2, "phi", table_bound)
     if rec.minimal_m is None:
         raise DomainError(
-            f"no base value with phi-multiplicity {p} below {table_bound}")
+            f"no base value with phi-multiplicity 2 below {table_bound}")
     base = rec.minimal_m
     return ScalePlan(
         k=k,
-        prime_factor=p,
+        prime_factor=2,
         multiplier_r=r,
         base_m=base,
-        base_multiplicity=p,
+        base_multiplicity=2,
         invocation=f"theorem2 --m {base} --r {r}",
     )
 

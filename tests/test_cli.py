@@ -266,6 +266,46 @@ def test_corollary3_plan_payload(capsys):
     assert code == 2
 
 
+def test_corollary3_plan_of_a_hard_even_k_factors_nothing(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    q = (2 ** 100 + 277) * (2 ** 101 + 81)  # two primes: rho needs tens of seconds
+    monkeypatch.setattr(phisigma.arith, "factorize", refuse)
+    code, out, err = run_main(capsys, "corollary3-plan", "--k", str(2 * q))
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["prime_factor"], payload["multiplier_r"], payload["base_m"]) == (2, q, 1)
+    assert payload["invocation"] == f"theorem2 --m 1 --r {q}"
+
+
+@pytest.mark.parametrize("value, message", [
+    (Fraction(10 ** cli._NATURAL_MAX_DIGITS), "l-value terms exceed 4300 digits"),
+    (Fraction(1, 10 ** cli._NATURAL_MAX_DIGITS), "l-value terms exceed 4300 digits"),
+    (Fraction(10 ** 400), "l-value exceeds the float range"),
+])
+def test_l_value_past_its_limits_is_a_capacity_error(capsys, monkeypatch, value, message):
+    monkeypatch.setattr(phisigma.sievelab, "l_value", lambda primes: value)
+    for fmt in ("json", "csv"):
+        code, out, err = run_main(capsys, "l-value", "3", "5", "--format", fmt)
+        assert (code, out, err) == (3, "", f"capacity error: {message}\n")
+
+
+def test_l_value_at_the_digit_limit_is_emitted(capsys, monkeypatch):
+    value = Fraction(10 ** cli._NATURAL_MAX_DIGITS - 1, 10 ** (cli._NATURAL_MAX_DIGITS - 1))
+    monkeypatch.setattr(phisigma.sievelab, "l_value", lambda primes: value)
+    code, out, _ = run_main(capsys, "l-value", "3", "5")
+    payload = json.loads(out)
+    assert code == 0 and Fraction(payload["numerator"], payload["denominator"]) == value
+
+
+def test_l_value_of_the_odd_primes_to_173_is_a_capacity_error(capsys):
+    primes = [str(p) for p in range(3, 174) if phisigma.arith.is_prime(p)]
+    assert len(primes) == 39
+    code, out, err = run_main(capsys, "l-value", *primes)
+    assert (code, out, err) == (3, "", "capacity error: l-value exceeds the float range\n")
+
+
 def test_capacity_exit_code(capsys):
     # the ceiling is the table's bound for either map, checked before any work
     code, out, _ = run_main(capsys, "table", "--map", "phi", "--k", "1..1", "--bound", "1e5")

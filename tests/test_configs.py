@@ -6,6 +6,7 @@ import random
 import pytest
 import sympy
 
+import phisigma.arith
 import phisigma.configs as configs
 from phisigma.configs import (
     Certificate,
@@ -337,9 +338,9 @@ def test_corollary3_plan_rejects_odd_or_small():
             corollary3_plan(bad)
 
 
-def _random_config(rng):
-    r = rng.choice((2, 3))
-    n = rng.choice((2, 3))
+def _random_config(rng, rs=(2, 3), ns=(2, 3)):
+    r = rng.choice(rs)
+    n = rng.choice(ns)
     kind = rng.choice(("phi", "sigma"))
     base_m = rng.choice((1, 1, 2, 4)) if kind == "phi" else 1
     lo = (1 << r) * base_m + 2
@@ -463,3 +464,43 @@ def test_an_unhashable_kind_is_refused_before_any_cache():
         search_config(["sigma"], 2, 2, 10 ** 5, 100)
     with pytest.raises(DomainError, match="^kind must be one of"):
         multiplicity(12, ["sigma"])
+
+
+def test_forms_are_one_derivation_and_pairwise_distinct():
+    # check_condition_i reports distinct values without scanning for
+    # duplicates; this holds for every valid matrix, of either kind
+    rng = random.Random(2020)
+    for _ in range(200):
+        cfg = _random_config(rng, rs=range(2, 7), ns=range(2, 5))
+        assert list(cfg.forms) == list(condition_index_set(cfg.r))
+        assert all(v == form_value(cfg, i, j) for (i, j), v in cfg.forms.items())
+        assert len(set(cfg.forms.values())) == 3 * cfg.r - 2
+        assert check_condition_i(cfg).values_distinct
+
+
+def test_form_value_gates_its_indices():
+    cfg = build_config([[11, 13], [17, 19]], "sigma")
+    for i, j in ((0, 1), (3, 1), (1, 0), (-1, -1)):
+        with pytest.raises(DomainError, match=r"^form index must lie in 1\.\.2, got"):
+            form_value(cfg, i, j)
+    for bad in (1.0, True):
+        with pytest.raises(DomainError, match="form index must be an integer"):
+            form_value(cfg, bad, 1)
+    assert [form_value(cfg, i, j) for i, j in condition_index_set(2)] == [
+        2 * 11 * 13 - 1, 2 * 11 * 19 - 1, 2 * 17 * 13 - 1, 2 * 17 * 19 - 1]
+
+
+# k = 2 * q with q a product of two primes near 2**100: factoring k by rho
+# takes tens of seconds, but an even k needs no factoring
+HARD_Q = (2 ** 100 + 277) * (2 ** 101 + 81)
+
+
+def test_corollary3_plan_factors_nothing(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(phisigma.arith, "factorize", refuse)
+    plan = corollary3_plan(2 * HARD_Q)
+    assert (plan.k, plan.prime_factor, plan.multiplier_r, plan.base_m,
+            plan.base_multiplicity) == (2 * HARD_Q, 2, HARD_Q, 1, 2)
+    assert plan.invocation == f"theorem2 --m 1 --r {HARD_Q}"
