@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, shown
 
 
 def exact_int(value, what: str, least: int | None = None, most: int | None = None) -> int:
@@ -49,9 +49,9 @@ def exact_int(value, what: str, least: int | None = None, most: int | None = Non
         raise DomainError(f"{what} must be an integer, got {value!r}")
     if least is not None and n < least:
         bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
-        raise DomainError(f"{what} must be {bound}, got {n}")
+        raise DomainError(f"{what} must be {bound}, got {shown(n)}")
     if most is not None and n > most:
-        raise CapacityError(f"{what} {n} exceeds capacity {most}")
+        raise CapacityError(f"{what} {shown(n)} exceeds capacity {shown(most)}")
     return n
 
 
@@ -150,7 +150,7 @@ def _pocklington_certified(n: int) -> bool:
         pending = [q for q in pending if math.gcd(pow(a, m // q, n) - 1, n) != 1]
         if not pending:
             return True
-    raise CapacityError(f"no Pocklington witness found for {n} at prime {pending[0]}")
+    raise CapacityError(f"no Pocklington witness found for {shown(n)} at prime {pending[0]}")
 
 
 def _find_nontrivial_factor(n: int) -> int:
@@ -166,14 +166,14 @@ def _find_nontrivial_factor(n: int) -> int:
     # deterministic fallback, bounded so that it cannot run for hours
     if n > TRIAL_DIVISION_CEILING:
         raise CapacityError(
-            f"failed to factor composite {n}: rho found no factor and trial division "
+            f"failed to factor composite {shown(n)}: rho found no factor and trial division "
             f"stops at {TRIAL_DIVISION_CEILING}")
     d = 101
     while d * d <= n:
         if n % d == 0:
             return d
         d += 2
-    raise CapacityError(f"failed to factor composite {n}")
+    raise CapacityError(f"failed to factor composite {shown(n)}")
 
 
 def _brent_rho(n: int, c: int) -> int | None:
@@ -184,7 +184,7 @@ def _brent_rho(n: int, c: int) -> int | None:
     count = 0
     while g == 1:
         if count > _RHO_STEP_BUDGET:
-            raise CapacityError(f"failed to factor composite {n}: a rho walk found "
+            raise CapacityError(f"failed to factor composite {shown(n)}: a rho walk found "
                                 f"no factor in {_RHO_STEP_BUDGET} steps")
         x = y
         for _ in range(r):
@@ -229,11 +229,11 @@ class PrimeFactorization:
         prev = 1
         for p, e in self.factors:
             if p <= prev or not is_prime(p):
-                raise DomainError(f"invalid factor list for {self.value}")
+                raise DomainError(f"invalid factor list for {shown(self.value)}")
             prev = p
             prod *= p ** e
         if prod != self.value:
-            raise DomainError(f"factor list of {self.value} multiplies to {prod}")
+            raise DomainError(f"factor list of {shown(self.value)} multiplies to {shown(prod)}")
 
     @property
     def num_distinct_primes(self) -> int:

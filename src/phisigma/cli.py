@@ -44,6 +44,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from . import preimages, sievelab
+from .arith import exact_int
 from .errors import CapacityError, CertificationError, DomainError
 
 EXIT_OK = 0
@@ -215,6 +216,8 @@ def _inverse(args) -> dict:
 
 
 def _table(args):
+    if args.k is not None:  # one row per k, held to the table's capacity
+        exact_int(args.k[1] - args.k[0] + 1, "k range size", most=args.capacity)
     counts = preimages.multiplicity_table(args.map, args.bound, scan_capacity=args.capacity)
     if args.k is None:
         return (((ms, counts[ms.start:ms.stop].tolist()) for ms in _row_ranges(1, args.bound)),

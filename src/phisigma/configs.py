@@ -31,7 +31,7 @@ from itertools import combinations
 from math import prod
 
 from . import arith
-from .errors import CertificationError, DomainError
+from .errors import CertificationError, DomainError, shown
 from .preimages import (PreimageSet, minimal_m_with_multiplicity, multiplicity,
                         phi_preimages, sigma_preimages)
 
@@ -53,7 +53,7 @@ def _base_multiplicity(kind: str, base_m: int) -> int | None:
         return None
     k = multiplicity(base_m, "phi")
     if k == 0:
-        raise DomainError(f"base value {base_m} has no phi-preimage")
+        raise DomainError(f"base value {shown(base_m)} has no phi-preimage")
     return k
 
 
@@ -87,9 +87,9 @@ class PrimeConfig:
         bound = (1 << self.r) * self.base_m + 1
         for p in entries:
             if p <= bound:
-                raise DomainError(f"entry {p} must exceed {bound}")
+                raise DomainError(f"entry {shown(p)} must exceed {shown(bound)}")
             if not arith.is_prime(p):
-                raise DomainError(f"entry {p} is not prime")
+                raise DomainError(f"entry {shown(p)} is not prime")
 
     @property
     def r(self) -> int:
@@ -138,7 +138,7 @@ def form_value(cfg: PrimeConfig, i: int, j: int) -> int:
     """The condition form 2 * p[i][0] * q_j + a for 1-based row i, column j."""
     for index in (i, j):
         if not 1 <= arith.exact_int(index, "form index") <= cfg.r:
-            raise DomainError(f"form index must lie in 1..{cfg.r}, got {index}")
+            raise DomainError(f"form index must lie in 1..{cfg.r}, got {shown(index)}")
     return 2 * cfg.matrix[i - 1][0] * cfg.q[j - 1] + _form_sign(cfg.kind)
 
 
@@ -210,8 +210,8 @@ def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
     if cfg.kind == "phi":
         return ConditionIIResult(
             True, None,
-            "no prime-power divisor demand for the phi kind; form-value "
-            "distinctness is part of the condition (i) check")
+            "no prime-power divisor demand for the phi kind; the form values "
+            "are distinct by construction (see condition (i))")
     threshold = 1 << cfg.r
     target = arith.PrimeFactorization(threshold * cfg.t, ((2, cfg.r),) + _t_factors(cfg))
     for d in arith.divisors(target):
@@ -329,6 +329,20 @@ class SearchStats:
     found: bool = False
 
 
+_FLOOR_BITS = 14_000  # 2^14000 has 4,215 digits, within str's default limit of 4,300
+
+
+def _below_floor(pool_bound: int, r: int, base_m: int) -> str:
+    """Why a pool bound of at most 2^r * base_m + 1 is refused: the floor by
+    its value while 2^r has at most _FLOOR_BITS bits, by its formula past that."""
+    head = f"pool bound {shown(pool_bound)} is below the 2^r floor"
+    if r > _FLOOR_BITS:
+        return f"{head}: matrix primes must exceed 2^{shown(r)} * base_m + 1"
+    lower = (1 << r) * base_m + 1
+    return (f"{head} {shown(lower + 1)}: matrix primes must exceed "
+            f"2^{r} * base_m + 1 = {shown(lower)}")
+
+
 def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
                   seed: int = 0, base_m: int = 1) -> tuple[PrimeConfig | None, SearchStats]:
     """Seeded search for a configuration passing all three conditions.
@@ -346,11 +360,10 @@ def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
     r, n = arith.exact_int(r, "r", 2), arith.exact_int(n, "n", 2)
     pool_bound = arith.exact_int(pool_bound, "pool bound")
     budget, seed = arith.exact_int(budget, "budget", 0), arith.exact_int(seed, "seed")
-    lower = (1 << r) * base_m + 1
-    if pool_bound <= lower:
-        raise DomainError(
-            f"pool bound {pool_bound} is below the 2^r floor {lower + 1}: matrix primes "
-            f"must exceed 2^{r} * base_m + 1 = {lower}")
+    # 2^r alone exceeds a pool bound of at most r bits: refused before 2^r is formed
+    lower = (1 << r) * base_m + 1 if r < pool_bound.bit_length() else None
+    if lower is None or pool_bound <= lower:
+        raise DomainError(_below_floor(pool_bound, r, base_m))
     from .sieves import sieve_range  # numpy loads only for a search
 
     sign = _form_sign(kind)
@@ -359,7 +372,7 @@ def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
     if len(pool) < r * n:
         raise DomainError(
             f"prime pool ({len(pool)} primes in ({lower}, {pool_bound}]) cannot fill "
-            f"an {r}x{n} matrix")
+            f"an {r}x{shown(n)} matrix")
     rng = random.Random(seed)
     n_cols = min(64, len(pool) // 2)
     n_qs = min(48, max(r, (len(pool) - n_cols) // (n - 1)))
@@ -481,7 +494,7 @@ def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
     factor of an even k), base m the least value of multiplicity 2."""
     k = arith.exact_int(k, "k", 2)
     if k % 2:
-        raise DomainError(f"plan requires an even k >= 2, got {k}")
+        raise DomainError(f"plan requires an even k >= 2, got {shown(k)}")
     table_bound = arith.exact_int(table_bound, "table bound")
     r = k // 2
     rec = minimal_m_with_multiplicity(2, "phi", table_bound)

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import arith
-from .errors import CapacityError
+from .errors import CapacityError, shown
 
 if TYPE_CHECKING:
     import numpy as np
@@ -204,7 +204,7 @@ def _preimages(m: int, map_kind: str) -> PreimageSet:
         return PreimageSet(m, map_kind, ())
     if dp.total > ENUM_CAPACITY:
         raise CapacityError(
-            f"{map_kind} has {dp.total} preimages of {m}, over capacity {ENUM_CAPACITY}")
+            f"{map_kind} has {dp.total} preimages of {shown(m)}, over capacity {ENUM_CAPACITY}")
     return PreimageSet(m, map_kind, tuple(sorted(dp.solutions())))
 
 
@@ -254,7 +254,7 @@ def multiplicity_table(map_kind: str, m_bound: int,
     """
     import numpy as np
 
-    from .sieves import _prime_flags
+    from .sieves import STRIKE, _primes
 
     arith._check_kind(map_kind)
     scan_capacity = arith.exact_int(scan_capacity, "scan capacity")
@@ -262,7 +262,7 @@ def multiplicity_table(map_kind: str, m_bound: int,
     counts = np.zeros(m_bound + 1, dtype=np.int32 if m_bound < _INT32_BOUND else np.int64)
     counts[1] = 1
     # the table's own capacity check covers this prime table, which is smaller
-    primes = np.flatnonzero(_prime_flags(m_bound + 1))
+    primes = _primes(0, m_bound + 1, STRIKE)
     split = int(np.searchsorted(primes, math.isqrt(m_bound) + 1, side="right"))
     for p in primes[:split].tolist():
         values = _small_prime_values(p, map_kind, m_bound)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import arith
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, shown
 
 # ceiling on the bits of x ** alpha.numerator, which the factor-size test builds
 _POWER_BITS_CAPACITY = 1 << 16
@@ -67,9 +68,9 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
     alpha = _exact_alpha(alpha)
     a = arith.exact_int(a, "shift")
     if a not in (1, -1):
-        raise DomainError(f"shift must be +1 or -1, got {a}")
+        raise DomainError(f"shift must be +1 or -1, got {shown(a)}")
     if not 0 < alpha < 1:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        raise DomainError(f"alpha must lie in (0, 1), got {shown(alpha)}")
     if alpha.numerator * x.bit_length() > _POWER_BITS_CAPACITY:
         raise CapacityError(
             f"x ** {alpha.numerator} would exceed {_POWER_BITS_CAPACITY} bits; "
@@ -112,7 +113,7 @@ def lemma3_reference_constant(alpha: Fraction = Fraction(1, 8)) -> float:
     if _exact_alpha(alpha) != Fraction(1, 8):
         raise DomainError(
             f"only alpha = 1/8 is supported (general sieve-function values are "
-            f"out of scope), got {alpha}")
+            f"out of scope), got {shown(alpha)}")
     return 0.5 / Fraction(1, 8) * math.log(3.0) - 4.0
 
 
@@ -132,9 +133,9 @@ def count_prime_pairs(k: int, x: int) -> int:
     k = arith.exact_int(k, "pair gap", 2)
     x = arith.exact_int(x, "x", most=sieves.DEFAULT_SPAN_CAPACITY)
     if k % 2:
-        raise DomainError(f"pair gap must be an even integer >= 2, got {k}")
+        raise DomainError(f"pair gap must be an even integer >= 2, got {shown(k)}")
     if x <= k:
-        raise DomainError(f"need x > k, got x={x}, k={k}")
+        raise DomainError(f"need x > k, got x={shown(x)}, k={shown(k)}")
     return sum(int(np.count_nonzero(w[:-k] & w[k:]))
                for _, w in sieves._segments(0, x, sieves.STRIKE, carry=k))
 
@@ -150,9 +151,19 @@ def l_value(primes) -> Fraction:
         raise DomainError("entries must be distinct (a zero difference has no totient)")
     for p in ps:
         if not arith.is_prime(p):
-            raise DomainError(f"entry {p} is not prime")
-    diffs = [abs(g - h) for g, h in combinations(ps, 2)]
-    return Fraction(math.prod(diffs), math.prod(map(arith.euler_phi, diffs)))
+            raise DomainError(f"entry {shown(p)} is not prime")
+    # d / phi(d) is the product of p / (p - 1) over the primes p of d, so the
+    # value is the product of (p / (p - 1))**c, c the number of differences p
+    # divides; factoring each p - 1 once leaves one net exponent per prime
+    counts = Counter(p for g, h in combinations(ps, 2)
+                     for p in arith.factorize(abs(g - h)).primes())
+    net: Counter[int] = Counter()
+    for p, c in counts.items():
+        net[p] += c
+        for q, e in arith.factorize(p - 1).factors:
+            net[q] -= e * c
+    return Fraction(math.prod(q ** e for q, e in net.items() if e > 0),
+                    math.prod(q ** -e for q, e in net.items() if e < 0))
 
 
 def _exact_sum(blocks) -> float:
@@ -214,7 +225,7 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
     if isinstance(beta, bool) or not isinstance(beta, (int, float)):
         raise DomainError(f"beta must be an int or a float, got {beta!r}")
     if not 0 < beta <= sys.float_info.max:  # an int past it has no float
-        raise DomainError(f"beta must be positive and finite, got {beta}")
+        raise DomainError(f"beta must be positive and finite, got {shown(beta)}")
     beta = float(beta)
     x = arith.exact_int(x, "x", 1, DEFAULT_SPAN_CAPACITY)
     prime_cutoff = arith.exact_int(prime_cutoff, "prime cutoff", 2, DEFAULT_SPAN_CAPACITY)

@@ -4,21 +4,22 @@ All heavy scans run on numpy arrays in segments, in the style of Bays and
 Hudson (BIT 17, 1977), so memory stays bounded regardless of the requested
 range.  Two segment sizes serve two kinds of scan:
 
-- One strike serves every prime flag, from 0 (_prime_flags, and the pair
-  and shifted counts of sievelab) or far from it (sieve_range); every flag
-  scan except _prime_flags reads it through one stream, _segments.  A
-  segment starts as a copy of the wheel of 2, 3, 5, 7, 11 and 13: one
-  period of 30030 flags, the points prime to all six (30 KB, kept as two
-  periods so that any phase is one slice), tiled by doubling copies; a
-  wheel with 17 (period 510510) measured the same.  Then each base prime p
-  above 13 strikes in strides of 2p; one with 2p longer than the segment
-  hits it at most once, so those share one vector step.  The base primes
-  of every sieve are a prefix of one memoised list (see _base_primes).
+- One strike serves every prime flag, from 0 (primes_upto, and the pair
+  and shifted counts of sievelab) or far from it (sieve_range), through
+  one stream, _segments; _primes reads every prime list from it, so no
+  list holds a flag per point.  A segment starts as a copy of the wheel of
+  2, 3, 5, 7, 11 and 13: one period of 30030 flags, the points prime to
+  all six (30 KB, kept as two periods so that any phase is one slice),
+  tiled by doubling copies; a wheel with 17 (period 510510) measured the
+  same.  Then each base prime p above 13 strikes in strides of 2p; one
+  with 2p longer than the segment hits it at most once, so those share one
+  vector step.  The base primes of every sieve are a prefix of one
+  memoised list (see _base_primes).
   Scans from 0 strike boolean segments of STRIKE = 2**20 entries, which fit
   in L2.  Best-of times on a 2-core Xeon with 2 MB of L2 per core, at
-  segments of 2**20 / 2**21 / 2**22 entries: _prime_flags to 2e7 took 39 /
-  42 / 65 ms, to 1e8 305 / 340 / 398 ms and to 2e8 759 / 725 / 858 ms; the
-  pairs to 4.97e6 took 9.2 / 12.0 / 14.8 ms (12.2 ms at 2**19).
+  segments of 2**20 / 2**21 / 2**22 entries: the strike from 0 to 2e7 took
+  39 / 42 / 65 ms, to 1e8 305 / 340 / 398 ms and to 2e8 759 / 725 /
+  858 ms; the pairs to 4.97e6 took 9.2 / 12.0 / 14.8 ms (12.2 ms at 2**19).
   Far from 0 each segment loops over every base prime (78,498 near 10**12),
   so sieve_range keeps segments of SEGMENT = 2**22 entries.
 - The phi and sigma value blocks come from one kernel with three work
@@ -62,7 +63,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .arith import _PRIME_POWER_RULE, _SMALL_PRIMES, exact_int
-from .errors import DomainError
+from .errors import DomainError, shown
 
 SEGMENT = 1 << 22  # sieve_range segment; also the value-block ceiling
 STRIKE = 1 << 20  # prime-flag segment for scans from 0, sized for L2 (see above)
@@ -139,15 +140,6 @@ def _base_primes(n: int) -> np.ndarray:
     return primes[: int(primes.searchsorted(root, "right"))]
 
 
-def _prime_flags(n: int) -> np.ndarray:
-    """flags[k] is True iff k is prime, for 0 <= k <= n (n >= 0)."""
-    flags = np.empty(n + 1, dtype=bool)
-    base = _base_primes(n)
-    for start in range(0, n + 1, STRIKE):
-        _strike(flags[start : start + STRIKE], start, base)
-    return flags
-
-
 def _segments(lo: int, hi: int, size: int,
               carry: int = 0) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, flags) over the points [lo, hi] (0 <= lo <= hi), in
@@ -165,10 +157,17 @@ def _segments(lo: int, hi: int, size: int,
         buf[:carry] = flags[n:]  # numpy copies an overlap (n < carry) first
 
 
+def _primes(lo: int, hi: int, size: int) -> np.ndarray:
+    """The primes in [lo, hi] (0 <= lo <= hi), ascending, as an int64 array,
+    read from _segments of at most size points."""
+    return np.concatenate([np.flatnonzero(flags) + start
+                           for start, flags in _segments(lo, hi, size)])
+
+
 def primes_upto(n: int) -> np.ndarray:
     """All primes <= n as an int64 array."""
     n = exact_int(n, "prime bound", 0, DEFAULT_SPAN_CAPACITY)
-    return np.flatnonzero(_prime_flags(n)).astype(np.int64, copy=False)
+    return _primes(0, n, STRIKE)
 
 
 def sieve_range(lo: int, hi: int) -> list[int]:
@@ -179,15 +178,12 @@ def sieve_range(lo: int, hi: int) -> list[int]:
     """
     lo, hi = exact_int(lo, "range start"), exact_int(hi, "range end", most=MAX_SIEVE_POINT)
     if lo > hi:
-        raise DomainError(f"empty range [{lo}, {hi}]")
+        raise DomainError(f"empty range [{shown(lo)}, {shown(hi)}]")
     lo = max(lo, 2)
     if lo > hi:
         return []
     exact_int(hi - lo + 1, "sieve span", most=DEFAULT_SPAN_CAPACITY)
-    out: list[int] = []
-    for start, flags in _segments(lo, hi, SEGMENT):
-        out.extend((np.flatnonzero(flags) + start).tolist())
-    return out
+    return _primes(lo, hi, SEGMENT).tolist()
 
 
 def spf_table(n: int) -> np.ndarray:
@@ -267,7 +263,7 @@ def _iter_blocks(kind: str, lo: int, hi: int,
     lo = exact_int(lo, "block range start", 0)
     hi = exact_int(hi, "block range end", most=MAX_SIEVE_POINT)
     if hi < lo:
-        raise DomainError(f"bad block range [{lo}, {hi}]")
+        raise DomainError(f"bad block range [{shown(lo)}, {shown(hi)}]")
     if block is not None:
         block = exact_int(block, "block size", 1)
     base = _base_primes(hi)

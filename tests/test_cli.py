@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,29 @@ def test_search_pool_below_floor_exit_code(capsys):
                               "--pool", "1e4")
     assert code == 2 and out == ""
     assert "pool bound 10000 is below the 2^r floor 1099511627778" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("search-config", "--lemma", "2", "--r", "1e6", "--pool", "1e3"),
+    ("theorem2", "--m", "1", "--r", "1e6", "--pool", "1e3"),
+    ("search-config", "--lemma", "2", "--r", "18446744073709551616", "--pool", "1e3"),
+    ("theorem2", "--m", "1", "--r", "1e24"),
+])
+def test_an_r_past_the_pool_bound_is_refused_before_2_to_the_r(capsys, argv):
+    # 2^r of a million digits, of 2^64 bits or of 10^24 bits is never formed
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "is below the 2^r floor: matrix primes must exceed 2^" in err
+
+
+def test_table_k_range_is_held_to_the_capacity(capsys, monkeypatch):
+    monkeypatch.setattr(phisigma.preimages, "multiplicity_table", None)  # never built
+    for argv in (("--k", "0..1e12"), ("--k", "0..100", "--capacity", "100")):
+        code, out, err = run_main(capsys, "table", "--map", "sigma", "--bound", "3", *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("capacity error: k range size "), argv
 
 
 @pytest.mark.parametrize("command", ["verify-config", "certify"])

@@ -2,6 +2,7 @@
 DomainError, and an argument past its ceiling is a CapacityError raised
 before any work, whatever the caches already hold."""
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -135,7 +136,7 @@ SPAN, POINT = sieves.DEFAULT_SPAN_CAPACITY, sieves.MAX_SIEVE_POINT
 # reaches that step before anything costly (a dense table at the ceiling
 # allocates first).
 CEILINGS = [
-    ("primes_upto", lambda v: sieves.primes_upto(v), "prime bound", SPAN, "_prime_flags", True),
+    ("primes_upto", lambda v: sieves.primes_upto(v), "prime bound", SPAN, "_primes", True),
     ("sieve_range", lambda v: sieves.sieve_range(v - 10, v), "range end", POINT,
      "primes_upto", True),
     ("spf_table", lambda v: sieves.spf_table(v), "table bound", SPAN, "primes_upto", False),
@@ -152,10 +153,10 @@ CEILINGS = [
     ("ratio_power_sum_cutoff", lambda v: sievelab.ratio_power_sum(2.0, 100, v),
      "prime cutoff", SPAN, "primes_upto", True),
     ("multiplicity_table", lambda v: preimages.multiplicity_table("phi", v, 1000),
-     "table bound", 1000, "_prime_flags", True),
+     "table bound", 1000, "_primes", True),
     ("minimal_m_with_multiplicity",
      lambda v: preimages.minimal_m_with_multiplicity(2, "sigma", v, 1000), "table bound", 1000,
-     "_prime_flags", True),
+     "_primes", True),
 ]
 
 
@@ -170,6 +171,27 @@ def test_an_argument_past_its_ceiling_is_refused_before_any_work(
     if cheap:
         with pytest.raises(_Work):
             call(ceiling)
+
+
+def test_an_integer_past_the_str_digit_limit_is_named_by_its_size():
+    huge = 10 ** 5000  # past str's default limit of 4,300 digits
+    with pytest.raises(CapacityError, match="^x a number of 16610 bits exceeds capacity 5$"):
+        arith.exact_int(huge, "x", most=5)
+    with pytest.raises(CapacityError, match="^range end a number of 16610 bits exceeds"):
+        sieves.sieve_range(10, huge)
+    with pytest.raises(CapacityError, match="^range end a number of 16610 bits exceeds"):
+        configs.search_config("sigma", 2, 2, huge, 10)
+    with pytest.raises(DomainError, match="^pool bound 1000 is below the 2"):
+        configs.search_config("sigma", huge, 2, 1000, 10)
+
+
+@pytest.mark.parametrize("name, args, positions", SWEEP, ids=[row[0] for row in SWEEP])
+def test_every_integer_parameter_refuses_a_huge_negative_with_a_message(name, args, positions):
+    # a result, or a DomainError or CapacityError whose message could be formed
+    fn = getattr(phisigma, name)
+    for pos in positions:
+        with contextlib.suppress(DomainError, CapacityError):
+            fn(*args[:pos], -10 ** 5000, *args[pos + 1:])
 
 
 def test_a_ceiling_is_checked_when_its_argument_is_gated():

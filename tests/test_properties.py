@@ -16,7 +16,7 @@ from phisigma.arith import euler_phi, factorize, is_prime, sigma
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
 from phisigma.sievelab import _exact_sum
-from phisigma.sieves import _PERIOD, _base_primes, _block, _segments, _strike
+from phisigma.sieves import _PERIOD, _base_primes, _block, _primes, _segments, _strike
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -139,14 +139,17 @@ def test_strike_from_below_the_wheel_primes(start):
 def test_segments_against_is_prime(lo, width, size, carry):
     hi = lo + width - 1
     ref = [is_prime(k) for k in range(lo, hi + 1)]
-    points = []
+    points, primes = [], []
     for start, flags in _segments(lo, hi, size, carry):
         n = flags.size - carry
         assert 1 <= n <= size
         assert flags[:carry].tolist() == [k >= lo and ref[k - lo] for k in range(start - carry, start)]
         assert flags[carry:].tolist() == ref[start - lo : start - lo + n]
         points.extend(range(start, start + n))
+        primes.extend(k for k in range(start, start + n) if flags[carry + k - start])
     assert points == list(range(lo, hi + 1))
+    got = _primes(lo, hi, size)
+    assert got.dtype == np.int64 and got.tolist() == primes
 
 
 # value windows: from 0, with 7 * stop on both sides of 2**31 (int32 work

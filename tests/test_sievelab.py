@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 import phisigma.sieves
-from phisigma.arith import iroot, is_prime
+from phisigma.arith import euler_phi, iroot, is_prime
 from phisigma.errors import CapacityError, DomainError
 from phisigma.sievelab import (
     count_prime_pairs,
@@ -19,8 +19,7 @@ from phisigma.sievelab import (
     lemma3_reference_constant,
     ratio_power_sum,
 )
-from phisigma.sieves import (DEFAULT_SPAN_CAPACITY, _prime_flags, phi_table,
-                              primes_upto, sieve_range, spf_table)
+from phisigma.sieves import DEFAULT_SPAN_CAPACITY, phi_table, primes_upto, sieve_range, spf_table
 
 
 def _naive_shifted_count(x, alpha, a):
@@ -121,6 +120,20 @@ def test_l_value_brute_force():
             d = abs(ps[g] - ps[h])
             out *= Fraction(d, sympy.totient(d))
     assert l_value(ps) == out
+
+
+def test_l_value_against_the_product_of_ratios():
+    # net prime exponents against the product of the differences over the
+    # product of their totients, on seeded sets of small and of wide primes
+    small = primes_upto(10 ** 5).tolist()
+    for seed in range(6):
+        rng = random.Random(seed)
+        ps = rng.sample(small, rng.randrange(2, 60))
+        if seed % 2:  # primes past the small-prime table, some far apart
+            ps = [sympy.nextprime(rng.randrange(10 ** 9, 10 ** 12)) for _ in range(8)] + ps[:8]
+        diffs = [abs(g - h) for g in ps for h in ps if g < h]
+        want = Fraction(math.prod(diffs), math.prod(map(euler_phi, diffs)))
+        assert l_value(ps) == want, seed
 
 
 def test_l_value_validation():
@@ -266,10 +279,16 @@ def test_shifted_count_against_loop_large_x():
                 assert got == _loop_shifted_count(x, alpha, a), (x, a, alpha)
 
 
-def test_prime_pairs_against_primes_upto():
-    x = 200003
+def _prime_flags(x):
+    """flags[k] is True iff k is prime, for 0 <= k <= x, from primes_upto."""
     flags = np.zeros(x + 1, dtype=bool)
     flags[primes_upto(x)] = True
+    return flags
+
+
+def test_prime_pairs_against_primes_upto():
+    x = 200003
+    flags = _prime_flags(x)
     for k in (2, 4, 6, 30, 210):
         assert count_prime_pairs(k, x) == int(np.count_nonzero(flags[: x - k + 1] & flags[k:]))
 

@@ -3,6 +3,7 @@
 import bisect
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,13 +86,27 @@ def test_small_base_table_cutover(monkeypatch):
     # base primes come from a fixed table while isqrt(n) < 1000, from the
     # sieve itself from n = 10**6 on; 997**2 is struck by the largest alone
     for n in range(10 ** 6 - 1, 10 ** 6 + 2):
-        got = phisigma.sieves._prime_flags(n)
+        got = primes_upto(n)
         for lo in (n - 1999, 997 ** 2 - 999):
-            assert got[lo : lo + 2000].tolist() == [is_prime(k) for k in range(lo, lo + 2000)], n
+            window = got[(got >= lo) & (got < lo + 2000)].tolist()
+            assert window == [k for k in range(lo, lo + 2000) if is_prime(k)], n
     # the table is a copy made on import: patching arith's changes no sieve
     want = primes_upto(10 ** 5).tolist()
     monkeypatch.setattr(phisigma.arith, "_SMALL_PRIMES", (2,))
     assert primes_upto(10 ** 5).tolist() == want
+
+
+def test_primes_upto_holds_no_flag_per_point():
+    # numpy reports its buffers to tracemalloc: the primes to 2e7 (9.7 MB) are
+    # held twice while the segments' lists are joined, beside one segment of
+    # flags; a flag per point would add 20 MB
+    primes_upto(100)  # any first-call imports happen before tracing
+    tracemalloc.start()
+    try:
+        got = primes_upto(2 * 10 ** 7)
+        assert tracemalloc.get_traced_memory()[1] < 2 * got.nbytes + 2 * phisigma.sieves.STRIKE
+    finally:
+        tracemalloc.stop()
 
 
 def test_base_primes_are_prefixes_of_one_memo(monkeypatch):
@@ -105,8 +120,8 @@ def test_base_primes_are_prefixes_of_one_memo(monkeypatch):
         assert got.tolist() == want[: bisect.bisect_right(want, math.isqrt(n))], n
     # a window a little further out takes its base primes from the memo
     sieved = []
-    real = sieves._prime_flags
-    monkeypatch.setattr(sieves, "_prime_flags", lambda n: sieved.append(n) or real(n))
+    real = sieves.primes_upto
+    monkeypatch.setattr(sieves, "primes_upto", lambda n: sieved.append(n) or real(n))
     lo = (3 * 10 ** 6) ** 2  # past the bound of 2.25e6 that 4e12 left
     assert sieve_range(lo, lo + 200) == [k for k in range(lo, lo + 201) if is_prime(k)]
     assert sieve_range(lo + 10 ** 9, lo + 10 ** 9 + 5) == [
