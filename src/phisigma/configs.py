@@ -31,7 +31,7 @@ from itertools import combinations
 from math import prod
 
 from . import arith
-from .errors import CertificationError, DomainError, shown
+from .errors import CapacityError, CertificationError, DomainError, shown
 from .preimages import (PreimageSet, minimal_m_with_multiplicity, multiplicity,
                         phi_preimages, sigma_preimages)
 
@@ -497,6 +497,9 @@ def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
         raise DomainError(f"plan requires an even k >= 2, got {shown(k)}")
     table_bound = arith.exact_int(table_bound, "table bound")
     r = k // 2
+    r_text = shown(r)  # its size in bits when str() refuses it
+    if not r_text.isdigit():
+        raise CapacityError(f"plan multiplier r is {r_text}, too long to print in its invocation")
     rec = minimal_m_with_multiplicity(2, "phi", table_bound)
     if rec.minimal_m is None:
         raise DomainError(
@@ -508,7 +511,7 @@ def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
         multiplier_r=r,
         base_m=base,
         base_multiplicity=2,
-        invocation=f"theorem2 --m {base} --r {r}",
+        invocation=f"theorem2 --m {base} --r {r_text}",
     )
 
 

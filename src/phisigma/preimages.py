@@ -19,8 +19,13 @@ and counting of one target fill its knapsack once per map.
 multiplicity_table() runs the same knapsack over every m <= B at once, in
 numpy: the multiplicities are the coefficients of a Dirichlet product over
 the primes, one factor (1 + sum of v**-s over the prime's block values v)
-per prime.  It imports numpy when it runs, so the per-target paths never
-load it.  Its capacity is the number of entries it holds, for either map.
+per prime.  The only table it holds is the int64 result: each factor is
+multiplied in place, its sources swept from the top down so that none is
+overwritten before it is read, and below 2**28 the counts accumulate as
+int32 in the first half of the result's bytes and are widened in place at
+the end.  So a table costs about 8 bytes per entry.  It imports numpy when
+it runs, so the per-target paths never load it.  Its capacity is the number
+of entries it holds, for either map.
 """
 
 from __future__ import annotations
@@ -48,11 +53,19 @@ ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may buil
 DIVISOR_CAPACITY = 1 << 16
 _FIRST_CHUNK = 1 << 20  # table entries per step of minimal_m_by_multiplicity
 _FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
-# int32 counts halve the memory traffic of the strided adds, and are exact for
-# a table bound B below this: a sigma-preimage x of m <= B is <= B, because
-# sigma(x) >= x; for phi, x/phi(x) < 8 unless x has at least 22 distinct
-# primes, and then phi(x) >= prod_{p<=79} (p-1) ~ 4.0e29.  So x < 8B <= 2**31.
+# Below this table bound B the counts accumulate as int32 in the first half
+# of the int64 result's bytes, which halves the memory traffic of the strided
+# adds and leaves the upper half's pages untouched until the table is widened
+# in place.  int32 is exact there: a sigma-preimage x of m <= B is <= B,
+# because sigma(x) >= x; for phi, x/phi(x) < 8 unless x has at least 22
+# distinct primes, and then phi(x) >= prod_{p<=79} (p-1) ~ 4.0e29.  So
+# x < 8B <= 2**31.
 _INT32_BOUND = 2 ** 28
+# Entries below this are read from one copy of at most 16 kB of int32 counts,
+# both as the sources of a prime's sweep and when the table is widened,
+# instead of in halves: halves all the way down took sigma at 1e5 from 1.0 to
+# 2.2 ms (best of 9, 2-core Xeon), one small numpy call per value and half.
+_SWEEP_FLOOR = 1 << 12
 
 @dataclass(frozen=True)
 class PreimageSet:
@@ -242,15 +255,23 @@ def multiplicity_table(map_kind: str, m_bound: int,
     for sigma.  The table is a 0/1 knapsack over m that multiplies in one
     prime factor at a time, starting from counts[1] = 1 (x = 1):
 
-    - A prime p <= isqrt(m_bound) + 1 adds each of its block values v <= m_bound
-      ((p-1)*p**(a-1), or sigma(p**b)) to a snapshot of the table taken
-      before p, so a preimage uses at most one block of p.
+    - Before p = 2 the counts are that unit alone, so p = 2 adds 1 at each
+      of its block values (phi's value 1 makes counts[1] = 2).
+    - A later prime p <= isqrt(m_bound) + 1 adds counts[j] to counts[v*j]
+      for each of its block values v <= m_bound ((p-1)*p**(a-1), or
+      sigma(p**b)), so a preimage uses at most one block of p.  Every v is
+      at least 2, so the sources j are swept downward in halves [lo, hi)
+      with hi <= 2*lo: a half writes only at 2*lo or above, where every
+      source has been read, and the sources below _SWEEP_FLOOR are read
+      from one small copy.
     - A larger prime has the single value p-1 or p+1, above sqrt(m_bound),
       so at most one such prime divides any preimage: each m = v*j gains the
       small-prime count of j.
 
-    The work depends on m_bound only, so scan_capacity bounds m_bound, for
-    either map, before any work.
+    The result is the only table held.  Below _INT32_BOUND the counts
+    accumulate as int32 in the first half of its bytes and are then widened
+    in place, from the top down.  The work depends on m_bound only, so
+    scan_capacity bounds m_bound, for either map, before any work.
     """
     import numpy as np
 
@@ -259,17 +280,23 @@ def multiplicity_table(map_kind: str, m_bound: int,
     arith._check_kind(map_kind)
     scan_capacity = arith.exact_int(scan_capacity, "scan capacity")
     m_bound = arith.exact_int(m_bound, "table bound", 1, scan_capacity)
-    counts = np.zeros(m_bound + 1, dtype=np.int32 if m_bound < _INT32_BOUND else np.int64)
+    try:  # calloc: the pages of the upper half stay unmapped until widening
+        out = np.zeros(m_bound + 1, dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise CapacityError(
+            f"table bound {shown(m_bound)} is past what memory can hold") from None
+    counts = out.view(np.int32)[: m_bound + 1] if m_bound < _INT32_BOUND else out
     counts[1] = 1
     # the table's own capacity check covers this prime table, which is smaller
     primes = _primes(0, m_bound + 1, STRIKE)
     split = int(np.searchsorted(primes, math.isqrt(m_bound) + 1, side="right"))
-    for p in primes[:split].tolist():
+    counts[_small_prime_values(2, map_kind, m_bound)] += 1  # values are distinct
+    for p in primes[1:split].tolist():
         values = _small_prime_values(p, map_kind, m_bound)
-        if values:
-            old = counts[: m_bound // values[0] + 1].copy()
-            for v in values:
-                counts[v::v] += old[1 : m_bound // v + 1]
+        top = m_bound // values[0] + 1  # sources j < top; p - 1 and p + 1 <= m_bound
+        for lo, hi in _halves(top):  # a half writes at 2*lo >= hi or above
+            _add_sources(counts, values, lo, counts[lo:hi])
+        _add_sources(counts, values, 1, counts[1 : min(top, _SWEEP_FLOOR)].copy())
     values = primes[split:] + arith._PRIME_POWER_RULE[map_kind][0]
     values = values[: np.searchsorted(values, m_bound, side="right")]
     if values.size:
@@ -278,7 +305,38 @@ def multiplicity_table(map_kind: str, m_bound: int,
         for j in np.flatnonzero(base).tolist():
             cut = np.searchsorted(values, m_bound // j, side="right")
             counts[values[:cut] * j] += base[j]  # distinct indices for one j
-    return counts.astype(np.int64, copy=False)
+    del primes, values  # freed before the widening maps the upper half
+    if counts is not out:
+        # int64 entries [lo, hi) fill bytes [8*lo, 8*hi), at or above the
+        # int32 entries [lo, hi) they read, and no entry below lo has been
+        # overwritten yet
+        for lo, hi in _halves(m_bound + 1):
+            out[lo:hi] = counts[lo:hi]
+        # copied first: counts[:k] and out[:k] start at the same byte, an
+        # overlap numpy does not buffer
+        low = counts[:_SWEEP_FLOOR].copy()
+        out[: low.size] = low
+    return out
+
+
+def _halves(top: int):
+    """Ranges [lo, hi) with hi <= 2*lo that cover [_SWEEP_FLOOR, top), from the top down."""
+    hi = top
+    while hi > _SWEEP_FLOOR:
+        lo = max((hi + 1) // 2, _SWEEP_FLOOR)
+        yield lo, hi
+        hi = lo
+
+
+def _add_sources(counts: np.ndarray, values: list[int], lo: int, sources: np.ndarray) -> None:
+    """counts[v*j] += sources[j - lo] for each value v and source j >= lo with
+    v*j inside counts; sources must not overlap the targets."""
+    top = counts.size - 1
+    for v in values:
+        n = min(sources.size, top // v + 1 - lo)
+        if n <= 0:
+            break  # values ascend, so no later one reaches a source either
+        counts[v * lo : v * (lo + n - 1) + 1 : v] += sources[:n]
 
 
 def _small_prime_values(p: int, map_kind: str, m_bound: int) -> list[int]:

@@ -169,6 +169,14 @@ def test_table_k_range_is_held_to_the_capacity(capsys, monkeypatch):
         assert err.startswith("capacity error: k range size "), argv
 
 
+def test_table_past_memory_is_a_capacity_error(capsys):
+    # numpy refuses 1e50 + 1 entries before any page is touched
+    code, out, err = run_main(capsys, "table", "--map", "phi", "--bound", "1e50",
+                              "--capacity", "1e60")
+    assert (code, out) == (3, "")
+    assert err.startswith("capacity error: table bound 1" + "0" * 50 + " ")
+
+
 @pytest.mark.parametrize("command", ["verify-config", "certify"])
 @pytest.mark.parametrize("field,value", [("entry", 564089.0), ("entry", "128339"),
                                          ("base_m", True)])

@@ -30,7 +30,7 @@ from phisigma.configs import (
     theorem2_search,
     verify,
 )
-from phisigma.errors import CertificationError, DomainError
+from phisigma.errors import CapacityError, CertificationError, DomainError
 from phisigma.preimages import multiplicity, phi_preimages, sigma_preimages
 
 # Matrices recovered by the default searches; frozen so the checker and
@@ -336,6 +336,13 @@ def test_corollary3_plan_rejects_odd_or_small():
     for bad in (0, 1, 3, 7):
         with pytest.raises(DomainError):
             corollary3_plan(bad)
+
+
+def test_corollary3_plan_names_an_unprintable_r_by_its_size():
+    with pytest.raises(CapacityError, match=r"^plan multiplier r is a number of 16609 bits"):
+        corollary3_plan(10 ** 5000)
+    r = 10 ** 4300 - 1  # the longest r that str() prints
+    assert corollary3_plan(2 * r).invocation == f"theorem2 --m 1 --r {r}"
 
 
 def _random_config(rng, rs=(2, 3), ns=(2, 3)):

@@ -1,7 +1,11 @@
 """Preimage enumeration checked against batch sieve buckets."""
 
+import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_left
 from collections import defaultdict
@@ -400,10 +404,12 @@ def test_divisor_count_past_its_ceiling_is_refused_before_any_listing(monkeypatc
         multiplicity(math.prod(phisigma.arith._SMALL_PRIMES[:primes]), "sigma")
 
 
-def _sieved_table(kind, m_bound):
+def _sieved_table(kind, m_bound, x_max=None):
     """Multiplicity table by sieving phi or sigma over every x the bound
-    allows (x <= 2*m_bound**2 for phi, x <= m_bound for sigma) and one bincount."""
-    x_max = 2 * m_bound * m_bound if kind == "phi" else m_bound
+    allows (x <= 2*m_bound**2 for phi, x <= m_bound for sigma, unless x_max
+    is given) and one bincount."""
+    if x_max is None:
+        x_max = 2 * m_bound * m_bound if kind == "phi" else m_bound
     blocks = iter_phi_blocks(x_max) if kind == "phi" else iter_sigma_blocks(x_max)
     hits = [vals[vals <= m_bound] for _, vals in blocks]
     return np.bincount(np.concatenate(hits), minlength=m_bound + 1)
@@ -463,6 +469,83 @@ def test_table_int64_counts_path(monkeypatch):
     for (kind, b), want in narrow.items():
         got = multiplicity_table(kind, b)
         assert got.dtype == np.int64 and np.array_equal(got, want), (kind, b)
+
+
+# 1 sweeps every prime's sources, and widens the table, in halves all the
+# way down; past every bound each prime reads one copy of its sources and
+# the table is widened from one copy
+_FLOORS = (1, phisigma.preimages._SWEEP_FLOOR, 1 << 40)
+
+
+@pytest.mark.parametrize("kind, firsts", [("phi", (2, 4, 6)), ("sigma", (4, 6, 8))])
+def test_table_sweep_floors_agree_with_the_sieve(monkeypatch, kind, firsts):
+    # A prime sweeps halves once B >= floor * its first block value (p - 1 or
+    # p + 1 for p = 3, 5, 7).  The widening takes no half while B + 1 <= floor,
+    # one up to B + 1 = 2 * floor, and two from there.
+    floor = phisigma.preimages._SWEEP_FLOOR
+    bounds = sorted({floor * v + d for v in firsts for d in (-1, 0, 1)}
+                    | {c * floor + d for c in (1, 2) for d in (-2, -1, 0, 1)})
+    # below 92160 = prod_{p <= 17} (p - 1), a phi preimage has at most six
+    # distinct primes, so x / phi(x) <= 2 * 3/2 * 5/4 * 7/6 * 11/10 * 13/12 < 6
+    top = bounds[-1]
+    assert top < 92160
+    sieved = _sieved_table(kind, top, 6 * top if kind == "phi" else None)
+    want = {b: multiplicity_table(kind, b) for b in bounds}
+    for f in _FLOORS:
+        monkeypatch.setattr(phisigma.preimages, "_SWEEP_FLOOR", f)
+        for b in bounds:
+            got = multiplicity_table(kind, b)
+            assert got.dtype == np.int64 and np.array_equal(got, sieved[: b + 1]), (f, b)
+            assert np.array_equal(got, want[b]), (f, b)
+
+
+# SHA-256 of the little-endian int64 bytes of both tables at 10**6, taken
+# from the earlier fill, which read each prime's sources from a full copy and
+# converted its int32 counts with astype
+_DIGESTS_AT_A_MILLION = {
+    "phi": "f90886194191d28517193b7893cbc580a2253209c05bcbfb90f33110e3acc280",
+    "sigma": "3c4f30cd89edf0019770958d9d2be2970dd8af751001e41f6c8aa15de4ba7440",
+}
+
+
+def test_table_bytes_are_pinned_at_a_million(monkeypatch):
+    for f in _FLOORS:
+        monkeypatch.setattr(phisigma.preimages, "_SWEEP_FLOOR", f)
+        for kind, digest in _DIGESTS_AT_A_MILLION.items():
+            table = multiplicity_table(kind, 10 ** 6)
+            assert table.dtype == np.int64, (f, kind)
+            assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == digest, (f, kind)
+
+
+# A child's ru_maxrss starts from its parent's resident size at the fork
+# (Linux carries it across exec), so a child of a large test run would read
+# its baseline from there; VmHWM is the peak of the child's own memory.
+_RSS_PROBE = """
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+import numpy as np
+import phisigma.preimages
+base = peak_kb()
+table = phisigma.preimages.multiplicity_table("sigma", 4 * 10 ** 6)
+print(table.dtype, (peak_kb() - base) * 1024 / table.size)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_table_holds_one_int64_buffer():
+    # the int64 result is the only table: 8 B per entry plus the primes,
+    # not int32 counts, their int64 copy and a snapshot (about 14 B)
+    proc = subprocess.run([sys.executable, "-c", _RSS_PROBE], capture_output=True,
+                          text=True, check=True)
+    dtype, per_entry = proc.stdout.split()
+    assert dtype == "int64"
+    assert float(per_entry) <= 10, per_entry
+
+
+def test_table_past_memory_is_a_capacity_error():
+    with pytest.raises(CapacityError, match=r"^table bound 10{50} "):
+        multiplicity_table("phi", 10 ** 50, scan_capacity=10 ** 60)
 
 
 def test_minimal_m_phi_equals_sieved_table_scan():
