@@ -88,11 +88,12 @@ def count_shifted_almost_primes(x: int, alpha: Fraction, a: int) -> AlmostPrimeC
     powers = np.array(powers, dtype=np.int64)
     size = sieves.STRIKE
     count = 0
+    buf = np.empty(min(size, u_hi + 1 - u_lo), dtype=bool)
     # the last s window has 2n - 1 points for the n of the last u window
     for (u0, u_flags), (_, s_flags) in zip(
             sieves._segments(u_lo, u_hi, size),
             sieves._segments(2 * u_lo + a, 2 * u_hi + a, 2 * size), strict=True):
-        hit = s_flags[::2] & ~u_flags
+        hit = np.greater(s_flags[::2], u_flags, out=buf[: u_flags.size])  # s & ~u
         for p in sifting:
             hit[-u0 % p :: p] = False
         hit[powers[(powers >= u0) & (powers < u0 + hit.size)] - u0] = False
@@ -162,8 +163,18 @@ def l_value(primes) -> Fraction:
         net[p] += c
         for q, e in arith.factorize(p - 1).factors:
             net[q] -= e * c
-    return Fraction(math.prod(q ** e for q, e in net.items() if e > 0),
-                    math.prod(q ** -e for q, e in net.items() if e < 0))
+    return Fraction(_product([q ** e for q, e in net.items() if e > 0]),
+                    _product([q ** -e for q, e in net.items() if e < 0]))
+
+
+def _product(factors: list[int]) -> int:
+    """The product of factors, multiplied in pairs, level by level, so that
+    each multiply joins two numbers of about the same size: a running product
+    costs time quadratic in the total bits."""
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [g * h for g, h in zip(factors[::2], factors[1::2])] + odd
+    return factors[0] if factors else 1
 
 
 def _exact_sum(blocks) -> float:

@@ -16,7 +16,8 @@ from phisigma.arith import euler_phi, factorize, is_prime, sigma
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
 from phisigma.sievelab import _exact_sum
-from phisigma.sieves import _PERIOD, _base_primes, _block, _primes, _segments, _strike
+from phisigma.sieves import (BASE_MEMO_ROOT, STRIKE, _PERIOD, _base_primes, _block, _primes,
+                             _segments, _strike)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -150,6 +151,52 @@ def test_segments_against_is_prime(lo, width, size, carry):
     assert points == list(range(lo, hi + 1))
     got = _primes(lo, hi, size)
     assert got.dtype == np.int64 and got.tolist() == primes
+
+
+# The tile store against a direct strike: a request below BASE_MEMO_ROOT
+# that spans at least STRIKE points reads the tiles, any other strikes.  Each
+# expected segment strikes its points from max(lo, start - carry) in one go.
+def _struck_segments(lo, hi, size, carry):
+    base = _base_primes(hi)
+    for start in range(lo, hi + 1, size):
+        flags = np.zeros(carry + min(size, hi + 1 - start), dtype=bool)
+        first = max(lo, start - carry)
+        _strike(flags[first - start + carry :], first, base)
+        yield start, flags
+
+
+T = STRIKE
+TOP = BASE_MEMO_ROOT
+
+
+@pytest.mark.parametrize("lo, hi, size, carry", [
+    # lo and hi one point either side of a tile edge
+    (T - 1, 3 * T + 1, T, 0), (T + 1, 3 * T - 1, T, 0), (0, 2 * T - 1, T, 0),
+    (1, 2 * T + 1, 2 * T, 0), (2 * T - 1, 4 * T - 1, T - 1, 0),
+    # carries that cross a tile edge, from 0 and from inside a tile
+    (0, 3 * T, T, 70), (5, 4 * T, T, 200), (T + 3, 3 * T, T // 2 + 1, 9),
+    (0, 2 * T + 7, T, T + 5), (3 * T - 2, 5 * T, T // 4 + 3, T + 1),
+    # spans of STRIKE - 1 (struck), STRIKE and STRIKE + 1 (tiles)
+    (3 * T - 5, 4 * T - 7, T, 13), (3 * T - 5, 4 * T - 6, T, 13), (3 * T - 5, 4 * T - 5, T, 13),
+    # hi at BASE_MEMO_ROOT - 1 (tiles) and at BASE_MEMO_ROOT (struck)
+    (TOP - T - 11, TOP - 1, T, 40), (TOP - T - 11, TOP, T, 40), (TOP - 2 * T - 1, TOP - 1, 2 * T, 0),
+])
+def test_tiled_segments_against_a_direct_strike(lo, hi, size, carry):
+    for (start, flags), (want_start, want) in zip(_segments(lo, hi, size, carry),
+                                                    _struck_segments(lo, hi, size, carry),
+                                                    strict=True):
+        assert start == want_start and flags.dtype == bool
+        assert np.array_equal(flags, want), start
+
+
+@settings(SETTINGS, max_examples=25)
+@given(st.integers(0, TOP - T), st.integers(T - 1, 3 * T), st.sampled_from((T, 2 * T, T // 3 + 1)),
+       st.integers(0, 3000))
+def test_random_tiled_segments_against_a_direct_strike(lo, width, size, carry):
+    hi = min(lo + width - 1, TOP - 1)
+    for (start, flags), (_, want) in zip(_segments(lo, hi, size, carry),
+                                         _struck_segments(lo, hi, size, carry), strict=True):
+        assert np.array_equal(flags, want), start
 
 
 # value windows: from 0, with 7 * stop on both sides of 2**31 (int32 work

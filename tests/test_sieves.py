@@ -3,6 +3,8 @@
 import bisect
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ import phisigma.sieves
 from phisigma.arith import euler_phi, is_prime, sigma
 from phisigma.errors import CapacityError, DomainError
 from phisigma.preimages import multiplicity_table
+from phisigma.sievelab import count_prime_pairs
 from phisigma.sieves import (
     BLOCK_PER_BASE_PRIME,
     DEFAULT_SPAN_CAPACITY,
@@ -132,6 +135,95 @@ def test_base_primes_are_prefixes_of_one_memo(monkeypatch):
     top = sieves.BASE_MEMO_ROOT + 1
     assert sieves._base_primes(top * top)[-1] == sympy.prevprime(top + 1)
     assert sieves._base[0] == bound <= sieves.BASE_MEMO_ROOT
+
+
+def _direct_flags(x):
+    """flags[k] is whether k is prime, for 0 <= k <= x, struck in one go."""
+    flags = np.empty(x + 1, dtype=bool)
+    phisigma.sieves._strike(flags, 0, phisigma.sieves._base_primes(x))
+    return flags
+
+
+def _pairs(flags, k):
+    return int(np.count_nonzero(flags[:-k] & flags[k:]))
+
+
+def test_tiles_are_struck_once(monkeypatch):
+    sieves = phisigma.sieves
+    monkeypatch.setattr(sieves, "_tiles", {})
+    struck = []
+    real = sieves._strike
+    monkeypatch.setattr(sieves, "_strike", lambda flags, start, base: (
+        struck.append((start, flags.size)), real(flags, start, base)))
+    x = 5 * 10 ** 6
+    count_prime_pairs(6, x)
+    # the five tiles, besides any short strike that sieves their base primes
+    tiles = [(start, size) for start, size in struck if size == sieves.STRIKE]
+    assert tiles == [(i * sieves.STRIKE, sieves.STRIKE) for i in range(5)]
+    struck.clear()
+    count_prime_pairs(2, x)
+    primes_upto(x)
+    assert struck == []  # a second scan from 0 strikes nothing
+    primes_upto(10)
+    assert struck == [(0, 11)]  # a short span strikes its own points, not a tile
+    # a span of STRIKE - 1 points, and any request reaching BASE_MEMO_ROOT,
+    # strikes directly and leaves the store as it was
+    store = set(sieves._tiles)
+    top = sieves.BASE_MEMO_ROOT
+    for lo, hi in ((6 * sieves.STRIKE, 7 * sieves.STRIKE - 2), (top - sieves.STRIKE, top)):
+        struck.clear()
+        assert list(sieves._segments(lo, hi, sieves.STRIKE))
+        assert struck and set(sieves._tiles) == store
+
+
+def test_tile_store_holds_at_most_ten_tiles(monkeypatch):
+    sieves = phisigma.sieves
+    monkeypatch.setattr(sieves, "_tiles", {})
+    primes_upto(sieves.BASE_MEMO_ROOT - 1)
+    assert len(sieves._tiles) == 10
+    assert sum(tile.nbytes for tile in sieves._tiles.values()) <= 10 * 2 ** 17
+
+
+def test_writes_into_answers_change_no_later_answer():
+    sieves = phisigma.sieves
+    x = 3 * 10 ** 6
+    flags = _direct_flags(x)
+    primes = primes_upto(x)
+    assert np.array_equal(primes, np.flatnonzero(flags))
+    primes[:] = 0
+    for _, seg in sieves._segments(0, x, sieves.STRIKE, carry=30):
+        seg ^= True
+    assert np.array_equal(primes_upto(x), np.flatnonzero(flags))
+    assert count_prime_pairs(30, x) == _pairs(flags, 30)
+    with pytest.raises(ValueError):
+        sieves._tile(0)[0] = 0  # the tiles themselves are read-only
+
+
+def test_pair_counts_in_threads(monkeypatch):
+    # more threads than cores, switching often, all filling the same empty store
+    monkeypatch.setattr(phisigma.sieves, "_tiles", {})
+    x = 4 * 10 ** 6 + 17
+    flags = _direct_flags(x)
+    gaps = ((2, 6, 30), (4, 12, 2), (210, 2, 98), (6, 4, 2))
+    got = [[] for _ in gaps]
+    start = threading.Barrier(len(gaps), timeout=60)
+
+    def run(i):
+        start.wait()
+        got[i].extend(count_prime_pairs(k, x) for k in gaps[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(gaps))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[_pairs(flags, k) for k in ks] for ks in gaps]
 
 
 def test_sieve_range_span_capacity():
