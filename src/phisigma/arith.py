@@ -405,12 +405,12 @@ def _prime_powers_with_sigma(d: int, min_exponent: int):
     - pi = 2: sigma(2**b) = 2**(b+1) - 1, so d + 1 must be a power of two.
     - Odd pi: sigma(pi**b) is a sum of b + 1 odd terms, so b + 1 has the
       parity of d; and sigma(pi**b) >= sigma(3**b) = (3**(b+1) - 1)/2, so
-      only b with 3**(b+1) <= 2d + 1 can solve.
+      only b with 3**(b+1) <= 2d + 1 (so b < bits(d), tested first) solve.
     pi = 2 comes last: its b has d = 2**(b+1) - 1 < (3**(b+1) - 1)/2, while
     an odd-pi exponent b' has (3**(b'+1) - 1)/2 <= d, so b' < b.
     """
     b = min_exponent + (min_exponent + d + 1) % 2  # b + 1 has the parity of d
-    while 3 ** (b + 1) <= 2 * d + 1:  # so iroot(d, b) >= 3
+    while b < d.bit_length() and 3 ** (b + 1) <= 2 * d + 1:  # so iroot(d, b) >= 3
         pi = _iroot(d, b)
         if pi ** (b + 1) - 1 == d * (pi - 1) and is_prime(pi):
             yield pi, b

@@ -22,10 +22,11 @@ produce identical bytes.
 
 No module imported here loads numpy at import time, so only the commands
 that sieve or build tables pay for it; inverse, multiplicity, verify-config,
-certify, l-value, lemma3-constant and --help never load it.  Likewise the
-configs module loads only in the handlers that use configurations or plans.
-Row streams are written ROW_CHUNK rows at a time, each chunk rendered with
-one join, so memory stays bounded however long the table is.
+certify, corollary3-plan, l-value, lemma3-constant and --help never load
+it.  Likewise the configs module loads only in the handlers that use
+configurations or plans.  Row streams are written ROW_CHUNK rows at a time,
+each chunk rendered with one join, so memory stays bounded however long the
+table is.
 """
 
 from __future__ import annotations
@@ -327,8 +328,8 @@ _COMMANDS = (
              (("--m", _NAT_REQUIRED), ("--r", _NAT_REQUIRED), _N,
               ("--pool", {**_NAT, "default": 10 ** 6}), _BUDGET, _SEED)),
     _Command("corollary3-plan", "decompose an even k into base times multiplier",
-             lambda args: _fields(_configs().corollary3_plan(args.k, table_bound=args.bound)),
-             (("--k", _NAT_REQUIRED), ("--bound", {**_NAT, "default": 1000}))),
+             lambda args: _fields(_configs().corollary3_plan(args.k)),
+             (("--k", _NAT_REQUIRED),)),
     _Command("sieve-count", "count shifted almost primes in (x/2, x]",
              lambda args: _fields(sievelab.count_shifted_almost_primes(args.x, args.alpha,
                                                                        args.a)),

@@ -32,8 +32,7 @@ from math import prod
 
 from . import arith
 from .errors import CapacityError, CertificationError, DomainError, shown
-from .preimages import (PreimageSet, minimal_m_with_multiplicity, multiplicity,
-                        phi_preimages, sigma_preimages)
+from .preimages import PreimageSet, multiplicity, phi_preimages, sigma_preimages
 
 LEMMA_KINDS = {"1": "phi", "2": "sigma"}  # config-file "lemma" -> kind
 DEFAULT_BUDGET = 200_000
@@ -128,10 +127,11 @@ def build_config(matrix, kind: str, base_m: int = 1) -> PrimeConfig:
 
 
 def condition_index_set(r: int) -> tuple[tuple[int, int], ...]:
-    """The (i, j) pairs (1-based) whose forms must be prime: i=1, j=1 or i=j."""
+    """The (i, j) pairs (1-based) whose forms must be prime: i=1, j=1 or i=j,
+    in row-major order: row 1 whole, then (i, 1) and (i, i) for each i > 1."""
     r = arith.exact_int(r, "r", 1)
-    return tuple((i, j) for i in range(1, r + 1) for j in range(1, r + 1)
-                 if i == 1 or j == 1 or i == j)
+    return tuple((1, j) for j in range(1, r + 1)) + tuple(
+        pair for i in range(2, r + 1) for pair in ((i, 1), (i, i)))
 
 
 def form_value(cfg: PrimeConfig, i: int, j: int) -> int:
@@ -273,7 +273,7 @@ def enumerate_matchings(r: int) -> tuple[tuple[int, ...], ...]:
 
 def count_matchings(r: int) -> int:
     """Number of allowed perfect matchings; the structure forces exactly r."""
-    return len(enumerate_matchings(r))
+    return arith.exact_int(r, "r", 1)
 
 
 @dataclass(frozen=True)
@@ -489,29 +489,27 @@ class ScalePlan:
     invocation: str
 
 
-def corollary3_plan(k: int, table_bound: int = 1000) -> ScalePlan:
-    """Plan how to realize phi-multiplicity k = 2 * r (2 is the smallest prime
-    factor of an even k), base m the least value of multiplicity 2."""
+def corollary3_plan(k: int) -> ScalePlan:
+    """Plan phi-multiplicity k = 2 * r for an even k over base m = 1, the least
+    value of phi-multiplicity 2: phi(1) = phi(2) = 1 < phi(n) for n > 2.
+
+    >>> corollary3_plan(6).invocation
+    'theorem2 --m 1 --r 3'
+    """
     k = arith.exact_int(k, "k", 2)
     if k % 2:
         raise DomainError(f"plan requires an even k >= 2, got {shown(k)}")
-    table_bound = arith.exact_int(table_bound, "table bound")
     r = k // 2
     r_text = shown(r)  # its size in bits when str() refuses it
     if not r_text.isdigit():
         raise CapacityError(f"plan multiplier r is {r_text}, too long to print in its invocation")
-    rec = minimal_m_with_multiplicity(2, "phi", table_bound)
-    if rec.minimal_m is None:
-        raise DomainError(
-            f"no base value with phi-multiplicity 2 below {table_bound}")
-    base = rec.minimal_m
     return ScalePlan(
         k=k,
         prime_factor=2,
         multiplier_r=r,
-        base_m=base,
+        base_m=1,
         base_multiplicity=2,
-        invocation=f"theorem2 --m {base} --r {r_text}",
+        invocation=f"theorem2 --m 1 --r {r_text}",
     )
 
 

@@ -289,6 +289,14 @@ def test_prime_power_sigma_examples():
     assert prime_power_sigma_all(31) == ((5, 2), (2, 4))
 
 
+def test_sigma_solve_with_a_huge_min_exponent_builds_no_power():
+    # b >= bits(d) is refused before 3**(b+1) is built
+    for min_exponent in (10 ** 7, 10 ** 5000):
+        start = time.perf_counter()
+        assert prime_power_sigma_solve(31, min_exponent) is None
+        assert time.perf_counter() - start < 0.1
+
+
 def _every_exponent_sigma_reps(d, min_exponent):
     """The solver before exponent pruning: one root for every b >= min_exponent
     with 2**(b+1) - 1 <= d."""

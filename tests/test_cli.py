@@ -298,6 +298,14 @@ def test_corollary3_plan_payload(capsys):
     assert code == 2
 
 
+def test_corollary3_plan_has_no_bound_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["corollary3-plan", "--k", "6", "--bound", "1000"])
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (2, "")
+    assert "unrecognized arguments: --bound 1000" in out.err
+
+
 def test_corollary3_plan_of_a_hard_even_k_factors_nothing(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"factorize({n}) called")
@@ -568,7 +576,7 @@ def run(*runs):
 run(["inverse", "phi", "4"], ["inverse", "sigma", "12"], ["multiplicity", "sigma", "12"],
     ["l-value", "3", "5", "7"], ["lemma3-constant"], ["--help"])
 assert "phisigma.configs" not in sys.modules, "configs was loaded"
-run(["verify-config", CFG], ["certify", CFG])
+run(["verify-config", CFG], ["certify", CFG], ["corollary3-plan", "--k", "6"])
 assert "numpy" not in sys.modules, "numpy was loaded"
 """
 
@@ -688,7 +696,7 @@ def _expect_theorem2(_):
 
 
 def _expect_corollary3_plan(_):
-    plan = phisigma.configs.corollary3_plan(6, table_bound=1000)
+    plan = phisigma.configs.corollary3_plan(6)
     return (["corollary3-plan", "--k", "6"],
             {"command": "corollary3-plan", "k": plan.k, "prime_factor": plan.prime_factor,
              "multiplier_r": plan.multiplier_r, "base_m": plan.base_m,

@@ -82,6 +82,13 @@ def test_condition_index_set_shape():
             assert ((i, j) in condition_index_set(4)) == member
 
 
+def test_condition_index_set_is_the_row_major_filter():
+    for r in range(1, 60):
+        want = tuple((i, j) for i in range(1, r + 1) for j in range(1, r + 1)
+                     if i == 1 or j == 1 or i == j)
+        assert condition_index_set(r) == want, r
+
+
 def test_condition_ii_witness_example():
     # 13 divides 4 * t and equals sigma(3**2), so the divisor check trips.
     cfg = build_config([[11, 13], [17, 19]], "sigma")
@@ -172,6 +179,11 @@ def test_matchings_structure():
         for per in ms:
             assert sorted(per) == list(range(r))
             assert all((i, per[i]) in allowed for i in range(r))
+
+
+def test_count_matchings_of_a_huge_r_is_r():
+    r = 10 ** 5000
+    assert count_matchings(r) == r
 
 
 def test_matchings_against_exhaustive_filter():

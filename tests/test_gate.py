@@ -37,7 +37,7 @@ SWEEP = [
     ("PrimeConfig", ("sigma", SIGMA_R2_MATRIX, 1), (2,)),
     ("build_config", (SIGMA_R2_MATRIX, "sigma", 1), (2,)),
     ("condition_index_set", (3,), (0,)),
-    ("corollary3_plan", (6, 100), (0, 1)),
+    ("corollary3_plan", (6,), (0,)),
     ("count_matchings", (3,), (0,)),
     ("enumerate_matchings", (3,), (0,)),
     ("search_config", ("sigma", 2, 2, 10 ** 4, 10, 0, 1), (1, 2, 3, 4, 5, 6)),

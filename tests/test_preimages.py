@@ -450,12 +450,14 @@ def test_table_prefix_property():
 
 
 def test_table_wide_counts_path():
-    # a phi table standing for a scan past 2**31 keeps int64 counts throughout
+    # scan_capacity only bounds m_bound: the count width follows m_bound alone
+    # (int32 below _INT32_BOUND, widened to int64; test_table_int64_counts_path
+    # runs the int64 accumulation), so a raised capacity changes no table
     table = multiplicity_table("phi", 40000, scan_capacity=10 ** 10)
     assert table.dtype == np.int64 and table.shape == (40001,)
     assert np.array_equal(table[:301], _sieved_table("phi", 300))
     assert np.array_equal(table, multiplicity_table("phi", 10 ** 5, scan_capacity=10 ** 11)[:40001])
-    # and agrees with the int32 counts of a table whose scan stays below 2**31
+    # and a shorter table is a prefix of it
     assert np.array_equal(multiplicity_table("phi", 30000, scan_capacity=10 ** 10),
                           table[:30001])
 
