@@ -24,14 +24,14 @@ _LAZY = {
     "configs": ("Certificate", "PrimeConfig", "SearchStats", "VerificationReport",
                 "build_config", "certify", "check_condition_i",
                 "check_condition_ii", "check_condition_iii",
-                "condition_index_set", "corollary3_plan", "count_matchings",
-                "enumerate_matchings", "load_config", "save_config",
-                "search_config", "theorem2_search", "verify"),
+                "condition_index_set", "corollary3_plan", "enumerate_matchings",
+                "load_config", "save_config", "search_config", "theorem2_search",
+                "verify"),
     "sievelab": ("AlmostPrimeCount", "RatioSumReport", "count_prime_pairs",
                  "count_shifted_almost_primes", "l_value",
                  "lemma3_reference_constant", "ratio_power_sum"),
     "sieves": ("iter_phi_blocks", "iter_sigma_blocks", "phi_table",
-               "primes_upto", "sieve_range", "sigma_table", "spf_table"),
+               "primes_upto", "sieve_range", "sigma_table"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -235,16 +235,6 @@ class PrimeFactorization:
         if prod != self.value:
             raise DomainError(f"factor list of {shown(self.value)} multiplies to {shown(prod)}")
 
-    @property
-    def num_distinct_primes(self) -> int:
-        return len(self.factors)
-
-    @property
-    def smallest_prime_factor(self) -> int:
-        if not self.factors:
-            raise DomainError("1 has no prime factor")
-        return self.factors[0][0]
-
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
@@ -396,10 +386,10 @@ def sigma_prime_power(p: int, e: int) -> int:
     return (p ** (e + 1) - 1) // (p - 1)
 
 
-def _prime_powers_with_sigma(d: int, min_exponent: int):
-    """Yield each prime power pi**b with sigma(pi**b) == d and
-    b >= min_exponent >= 2, by ascending b.  For b >= 2 the base is pinned
-    down: pi**b < sigma(pi**b) < (pi+1)**b, so pi must equal iroot(d, b).
+def _prime_powers_with_sigma(d: int):
+    """Yield each prime power pi**b with sigma(pi**b) == d and b >= 2, by
+    ascending b.  For b >= 2 the base is pinned down:
+    pi**b < sigma(pi**b) < (pi+1)**b, so pi must equal iroot(d, b).
 
     Exponents are pruned before any root is taken:
     - pi = 2: sigma(2**b) = 2**(b+1) - 1, so d + 1 must be a power of two.
@@ -409,24 +399,23 @@ def _prime_powers_with_sigma(d: int, min_exponent: int):
     pi = 2 comes last: its b has d = 2**(b+1) - 1 < (3**(b+1) - 1)/2, while
     an odd-pi exponent b' has (3**(b'+1) - 1)/2 <= d, so b' < b.
     """
-    b = min_exponent + (min_exponent + d + 1) % 2  # b + 1 has the parity of d
+    b = 2 + (d + 1) % 2  # b + 1 has the parity of d
     while b < d.bit_length() and 3 ** (b + 1) <= 2 * d + 1:  # so iroot(d, b) >= 3
         pi = _iroot(d, b)
         if pi ** (b + 1) - 1 == d * (pi - 1) and is_prime(pi):
             yield pi, b
         b += 2
-    if d & (d + 1) == 0 and d.bit_length() > min_exponent:
+    if d & (d + 1) == 0 and d.bit_length() > 2:
         yield 2, d.bit_length() - 1
 
 
-def prime_power_sigma_solve(d: int, min_exponent: int = 2) -> tuple[int, int] | None:
-    """Find a prime power pi**b with sigma(pi**b) == d and b >= min_exponent.
+def prime_power_sigma_solve(d: int) -> tuple[int, int] | None:
+    """Find a prime power pi**b with sigma(pi**b) == d and b >= 2.
 
     Returns the representation with the smallest exponent, or None.
     """
     d = exact_int(d, "sigma value", 1)
-    min_exponent = exact_int(min_exponent, "min_exponent", 2)
-    return next(_prime_powers_with_sigma(d, min_exponent), None)
+    return next(_prime_powers_with_sigma(d), None)
 
 
 @lru_cache(maxsize=1 << 16, typed=True)
@@ -437,4 +426,4 @@ def prime_power_sigma_all(d: int) -> tuple[tuple[int, int], ...]:
     """
     d = exact_int(d, "sigma value", 1)  # on a cache miss only
     first = ((d - 1, 1),) if d >= 3 and is_prime(d - 1) else ()
-    return first + tuple(_prime_powers_with_sigma(d, 2))
+    return first + tuple(_prime_powers_with_sigma(d))

@@ -218,8 +218,8 @@ def _inverse(args) -> dict:
 
 def _table(args):
     if args.k is not None:  # one row per k, held to the table's capacity
-        exact_int(args.k[1] - args.k[0] + 1, "k range size", most=args.capacity)
-    counts = preimages.multiplicity_table(args.map, args.bound, scan_capacity=args.capacity)
+        exact_int(args.k[1] - args.k[0] + 1, "k range size", most=preimages.SCAN_CAPACITY)
+    counts = preimages.multiplicity_table(args.map, args.bound)
     if args.k is None:
         return (((ms, counts[ms.start:ms.stop].tolist()) for ms in _row_ranges(1, args.bound)),
                 ("m", "multiplicity"))
@@ -230,8 +230,7 @@ def _table(args):
 
 
 def _min_m(args) -> dict:
-    rec = preimages.minimal_m_with_multiplicity(args.k, args.map, args.bound,
-                                                scan_capacity=args.capacity)
+    rec = preimages.minimal_m_with_multiplicity(args.k, args.map, args.bound)
     return {**_fields(rec), "found": rec.minimal_m is not None}
 
 
@@ -296,7 +295,6 @@ _MAP = {"choices": ("phi", "sigma")}
 _MAP_REQUIRED = {**_MAP, "required": True}
 _NAT = {"type": _natural}
 _NAT_REQUIRED = {"type": _natural, "required": True}
-_CAPACITY = ("--capacity", {"type": _natural, "default": preimages.SCAN_CAPACITY})
 _ALPHA = ("--alpha", {"type": _rational, "default": Fraction(1, 8)})
 _N = ("--n", {**_NAT, "default": 2})
 _BUDGET = ("--budget", _NAT)  # None stands for configs.DEFAULT_BUDGET, see _budget
@@ -311,10 +309,9 @@ _COMMANDS = (
              (("map", _MAP), ("m", _NAT))),
     _Command("table", "multiplicity histogram, or minimal m per k with --k", _table,
              (("--map", _MAP_REQUIRED), ("--bound", _NAT_REQUIRED),
-              ("--k", {"type": _k_range, "metavar": "A..B"}), _CAPACITY)),
+              ("--k", {"type": _k_range, "metavar": "A..B"}))),
     _Command("min-m", "smallest m whose multiplicity is exactly k", _min_m,
-             (("--map", _MAP_REQUIRED), ("--k", _NAT_REQUIRED),
-              ("--bound", _NAT_REQUIRED), _CAPACITY)),
+             (("--map", _MAP_REQUIRED), ("--k", _NAT_REQUIRED), ("--bound", _NAT_REQUIRED))),
     _Command("verify-config", "run all condition checks on a config file", _verify_config,
              (("file", {}),)),
     _Command("search-config", "seeded search for a passing configuration", _search_config,
@@ -326,6 +323,7 @@ _COMMANDS = (
              (("file", {}),)),
     _Command("theorem2", "find l with phi-multiplicity(l*m) = r * multiplicity(m)", _theorem2,
              (("--m", _NAT_REQUIRED), ("--r", _NAT_REQUIRED), _N,
+              # configs.DEFAULT_POOL, spelled out so --help needs no configs
               ("--pool", {**_NAT, "default": 10 ** 6}), _BUDGET, _SEED)),
     _Command("corollary3-plan", "decompose an even k into base times multiplier",
              lambda args: _fields(_configs().corollary3_plan(args.k)),

@@ -18,7 +18,8 @@ index pairs admit exactly r perfect matchings of rows onto columns, the
 identity and the transpositions of row 1 with another row, so they are
 written down, not searched for.  The certifier re-derives the count by
 exhaustive preimage enumeration and refuses to emit a certificate on any
-disagreement.
+disagreement.  Conditions (ii) and (iii) and the search first hold the
+target's divisor count to DIVISOR_CAPACITY, which that enumeration meets.
 """
 
 from __future__ import annotations
@@ -30,12 +31,14 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
 
-from . import arith
+from . import arith, preimages
 from .errors import CapacityError, CertificationError, DomainError, shown
 from .preimages import PreimageSet, multiplicity, phi_preimages, sigma_preimages
 
 LEMMA_KINDS = {"1": "phi", "2": "sigma"}  # config-file "lemma" -> kind
 DEFAULT_BUDGET = 200_000
+DEFAULT_POOL = 10 ** 6  # theorem2_search's pool bound
+_MAX_PLAN_R = 14_283  # 2^(r+1) has at most 4,300 digits, the most the CLI reads
 
 
 def _form_sign(kind: str) -> int:
@@ -199,6 +202,19 @@ def check_condition_i(cfg: PrimeConfig) -> ConditionIResult:
     return ConditionIResult(passed, forms, True, None, overlap)
 
 
+def _hold_divisors(r: int, n: int, base_m: int) -> None:
+    """Hold the divisor count of the target 2**r * t * base_m of an r x n
+    configuration to preimages.DIVISOR_CAPACITY.  The r*n matrix primes are
+    distinct and exceed 2**r * base_m, so the count is 2**(r*n) times the
+    divisor count of 2**r * base_m; 2**(r*n) is formed only below the ceiling."""
+    capacity = preimages.DIVISOR_CAPACITY
+    if r * n >= capacity.bit_length():
+        raise CapacityError(
+            f"divisor count at least 2^{shown(r * n)} exceeds capacity {capacity}")
+    rest = prod(e + 1 for _, e in arith.factorize(base_m << r).factors)
+    arith.exact_int(rest << (r * n), "divisor count", most=capacity)
+
+
 def _t_factors(cfg: PrimeConfig) -> tuple[tuple[int, int], ...]:
     """t's prime factors: every matrix entry to the first power, ascending."""
     return tuple((p, 1) for p in sorted(p for row in cfg.matrix for p in row))
@@ -212,12 +228,13 @@ def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
             True, None,
             "no prime-power divisor demand for the phi kind; the form values "
             "are distinct by construction (see condition (i))")
+    _hold_divisors(cfg.r, cfg.n, cfg.base_m)
     threshold = 1 << cfg.r
     target = arith.PrimeFactorization(threshold * cfg.t, ((2, cfg.r),) + _t_factors(cfg))
     for d in arith.divisors(target):
         if d <= threshold:
             continue
-        hit = arith.prime_power_sigma_solve(d, 2)
+        hit = arith.prime_power_sigma_solve(d)
         if hit is not None:
             pi, b = hit
             return ConditionIIResult(False, (pi, b, d), "")
@@ -227,6 +244,7 @@ def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
 def check_condition_iii(cfg: PrimeConfig) -> ConditionIIIResult:
     """2*d1*d2 + a must be composite for every d1 | t with d1 > 1 and every
     d2 | 2**(r-1) * base_m, except values literally listed by condition (i)."""
+    _hold_divisors(cfg.r, cfg.n, cfg.base_m)
     sign = _form_sign(cfg.kind)
     exempt = set(cfg.forms.values())
     t_fact = arith.PrimeFactorization(cfg.t, _t_factors(cfg))
@@ -269,11 +287,6 @@ def enumerate_matchings(r: int) -> tuple[tuple[int, ...], ...]:
     r = arith.exact_int(r, "r", 1)
     return tuple(tuple(j if i == 0 else 0 if i == j else i for i in range(r))
                  for j in range(r))
-
-
-def count_matchings(r: int) -> int:
-    """Number of allowed perfect matchings; the structure forces exactly r."""
-    return arith.exact_int(r, "r", 1)
 
 
 @dataclass(frozen=True)
@@ -364,6 +377,7 @@ def search_config(kind: str, r: int, n: int, pool_bound: int, budget: int,
     lower = (1 << r) * base_m + 1 if r < pool_bound.bit_length() else None
     if lower is None or pool_bound <= lower:
         raise DomainError(_below_floor(pool_bound, r, base_m))
+    _hold_divisors(r, n, base_m)
     from .sieves import sieve_range  # numpy loads only for a search
 
     sign = _form_sign(kind)
@@ -453,7 +467,7 @@ def _assemble_and_check(kind, r, base_m, cols, q_tuples, masks, stats, budget):
     return None
 
 
-def theorem2_search(m: int, r: int, n: int = 2, pool_bound: int = 10 ** 6,
+def theorem2_search(m: int, r: int, n: int = 2, pool_bound: int = DEFAULT_POOL,
                     budget: int = DEFAULT_BUDGET, seed: int = 0,
                     ) -> tuple[int | None, Certificate | None, SearchStats]:
     """Find a multiplier l with phi-multiplicity(l * m) = r * multiplicity(m).
@@ -493,23 +507,29 @@ def corollary3_plan(k: int) -> ScalePlan:
     """Plan phi-multiplicity k = 2 * r for an even k over base m = 1, the least
     value of phi-multiplicity 2: phi(1) = phi(2) = 1 < phi(n) for n > 2.
 
+    The invocation carries --pool 2^(r+1) once the 2^r floor reaches
+    DEFAULT_POOL; an r past _MAX_PLAN_R is refused before 2^r is formed.
+
     >>> corollary3_plan(6).invocation
     'theorem2 --m 1 --r 3'
+    >>> corollary3_plan(40).invocation
+    'theorem2 --m 1 --r 20 --pool 2097152'
     """
     k = arith.exact_int(k, "k", 2)
     if k % 2:
         raise DomainError(f"plan requires an even k >= 2, got {shown(k)}")
     r = k // 2
-    r_text = shown(r)  # its size in bits when str() refuses it
-    if not r_text.isdigit():
-        raise CapacityError(f"plan multiplier r is {r_text}, too long to print in its invocation")
+    if r > _MAX_PLAN_R:
+        raise CapacityError(f"plan multiplier r is {shown(r)}: its pool 2^(r+1) would "
+                            f"pass 4300 digits, too long to print in its invocation")
+    pool = "" if (1 << r) + 1 < DEFAULT_POOL else f" --pool {1 << (r + 1)}"
     return ScalePlan(
         k=k,
         prime_factor=2,
         multiplier_r=r,
         base_m=1,
         base_multiplicity=2,
-        invocation=f"theorem2 --m 1 --r {r_text}",
+        invocation=f"theorem2 --m 1 --r {r}{pool}",
     )
 
 

@@ -246,8 +246,7 @@ def multiplicity(m: int, map_kind: str) -> int:
     return 0 if dp is None else dp.total
 
 
-def multiplicity_table(map_kind: str, m_bound: int,
-                       scan_capacity: int = SCAN_CAPACITY) -> np.ndarray:
+def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
     """counts[m] = multiplicity of m, for all 0 <= m <= m_bound, as int64.
 
     The multiplicities are the coefficients of a Dirichlet product over the
@@ -271,15 +270,14 @@ def multiplicity_table(map_kind: str, m_bound: int,
     The result is the only table held.  Below _INT32_BOUND the counts
     accumulate as int32 in the first half of its bytes and are then widened
     in place, from the top down.  The work depends on m_bound only, so
-    scan_capacity bounds m_bound, for either map, before any work.
+    SCAN_CAPACITY bounds m_bound, for either map, before any work.
     """
     import numpy as np
 
     from .sieves import STRIKE, _primes
 
     arith._check_kind(map_kind)
-    scan_capacity = arith.exact_int(scan_capacity, "scan capacity")
-    m_bound = arith.exact_int(m_bound, "table bound", 1, scan_capacity)
+    m_bound = arith.exact_int(m_bound, "table bound", 1, SCAN_CAPACITY)
     try:  # calloc: the pages of the upper half stay unmapped until widening
         out = np.zeros(m_bound + 1, dtype=np.int64)
     except (ValueError, MemoryError):
@@ -367,22 +365,20 @@ def minimal_m_by_multiplicity(counts: np.ndarray) -> list[int | None]:
     return [None if m == none else m for m in first.tolist()]
 
 
-def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int,
-                                scan_capacity: int = SCAN_CAPACITY) -> MultiplicityRecord:
+def minimal_m_with_multiplicity(k: int, map_kind: str, scan_bound: int) -> MultiplicityRecord:
     """Smallest m <= scan_bound with multiplicity exactly k, from tables.
 
     Builds multiplicity_table() over a prefix of m that starts at m <= 64
     and grows by a factor of 4, so small answers stay cheap; the
     recomputation overhead is bounded by a constant factor.  scan_bound is
-    held to scan_capacity before any table is built.
+    held to SCAN_CAPACITY before any table is built.
     """
     k = arith.exact_int(k, "multiplicity", 0)
     arith._check_kind(map_kind)
-    scan_capacity = arith.exact_int(scan_capacity, "scan capacity")
-    scan_bound = arith.exact_int(scan_bound, "table bound", 1, scan_capacity)
+    scan_bound = arith.exact_int(scan_bound, "table bound", 1, SCAN_CAPACITY)
     bound = min(_FIRST_BOUND, scan_bound)
     while True:
-        first = minimal_m_by_multiplicity(multiplicity_table(map_kind, bound, scan_capacity))
+        first = minimal_m_by_multiplicity(multiplicity_table(map_kind, bound))
         minimal = first[k] if k < len(first) else None
         if minimal is not None:
             return MultiplicityRecord(k, map_kind, minimal, scan_bound)

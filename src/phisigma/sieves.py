@@ -1,4 +1,4 @@
-"""Batch tables of primes, smallest prime factors, phi and sigma.
+"""Batch tables of primes, phi and sigma.
 
 All heavy scans run on numpy arrays in segments, in the style of Bays and
 Hudson (BIT 17, 1977), so memory stays bounded regardless of the requested
@@ -237,18 +237,6 @@ def sieve_range(lo: int, hi: int) -> list[int]:
         return []
     exact_int(hi - lo + 1, "sieve span", most=DEFAULT_SPAN_CAPACITY)
     return _primes(lo, hi, SEGMENT).tolist()
-
-
-def spf_table(n: int) -> np.ndarray:
-    """Smallest-prime-factor table: spf[x] for 0 <= x <= n, spf[0] = spf[1] = 0."""
-    n = exact_int(n, "table bound", 0, DEFAULT_SPAN_CAPACITY)
-    spf = np.arange(n + 1, dtype=np.int64)
-    spf[4::2] = 2
-    # odd primes largest first, so the smallest prime factor is written last
-    for p in _base_primes(n)[:0:-1].tolist():
-        spf[p * p :: 2 * p] = p
-    spf[:2] = 0
-    return spf
 
 
 def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from phisigma.configs import (
     check_condition_ii,
     check_condition_iii,
     condition_index_set,
-    count_matchings,
     enumerate_matchings,
     form_value,
     search_config,
@@ -141,7 +140,7 @@ def test_criterion_03_sigma_minimal_witnesses():
 
 def test_criterion_04_matching_count():
     t0 = time.monotonic()
-    got = [count_matchings(r) for r in range(1, 9)]
+    got = [len(enumerate_matchings(r)) for r in range(1, 9)]
     elapsed = time.monotonic() - t0
     ok = got == list(range(1, 9)) and elapsed < 1.0
     _report(4, ok, f"exhaustive matching counts for r=1..8 are {got} ({elapsed:.2f}s)")

@@ -125,7 +125,7 @@ def test_factorize_splits_off_each_found_prime_before_its_cofactor(monkeypatch):
         for n in (p ** 2 * q, p ** 3 * q ** 2 * r):
             calls.clear()
             f = factorize(n)
-            assert len(calls) <= f.num_distinct_primes, (n, calls)
+            assert len(calls) <= len(f.factors), (n, calls)
 
 
 def test_pocklington_proof_against_sympy_with_a_split_cofactor():
@@ -162,8 +162,7 @@ def test_pocklington_proof_stops_before_splitting_the_cofactor(monkeypatch):
 
 def test_factorization_record_validation():
     f = factorize(360)
-    assert f.num_distinct_primes == 3
-    assert f.smallest_prime_factor == 2
+    assert f.factors == ((2, 3), (3, 2), (5, 1))
     assert f.primes() == (2, 3, 5)
     with pytest.raises(ValueError):
         PrimeFactorization(12, ((3, 1), (2, 2)))  # primes out of order
@@ -283,25 +282,17 @@ def test_prime_power_sigma_all_brute_force():
 
 
 def test_prime_power_sigma_examples():
-    assert prime_power_sigma_solve(7, 2) == (2, 2)
-    assert prime_power_sigma_solve(13, 2) == (3, 2)
-    assert prime_power_sigma_solve(8, 2) is None
+    assert prime_power_sigma_solve(7) == (2, 2)
+    assert prime_power_sigma_solve(13) == (3, 2)
+    assert prime_power_sigma_solve(8) is None
     assert prime_power_sigma_all(31) == ((5, 2), (2, 4))
 
 
-def test_sigma_solve_with_a_huge_min_exponent_builds_no_power():
-    # b >= bits(d) is refused before 3**(b+1) is built
-    for min_exponent in (10 ** 7, 10 ** 5000):
-        start = time.perf_counter()
-        assert prime_power_sigma_solve(31, min_exponent) is None
-        assert time.perf_counter() - start < 0.1
-
-
-def _every_exponent_sigma_reps(d, min_exponent):
-    """The solver before exponent pruning: one root for every b >= min_exponent
-    with 2**(b+1) - 1 <= d."""
+def _every_exponent_sigma_reps(d):
+    """The solver before exponent pruning: one root for every b >= 2 with
+    2**(b+1) - 1 <= d."""
     out = []
-    b = min_exponent
+    b = 2
     while (1 << (b + 1)) - 1 <= d:
         pi = arith._iroot(d, b)
         if pi >= 2 and pi ** (b + 1) - 1 == d * (pi - 1) and is_prime(pi):
@@ -316,13 +307,10 @@ def test_pruned_sigma_exponents_match_every_exponent_loop():
                   for b in range(1, 40)}
     randoms = [rng.randrange(1, 10 ** 30) for _ in range(500)]
     for d in [*range(1, 10 ** 5), *sorted(structured), *randoms]:
-        want = _every_exponent_sigma_reps(d, 2)
-        for e in (2, 3, 4):
-            want_e = [r for r in want if r[1] >= e]
-            assert list(arith._prime_powers_with_sigma(d, e)) == want_e, (d, e)
-            if d in structured:
-                assert prime_power_sigma_solve(d, e) == (want_e[0] if want_e else None), (d, e)
+        want = _every_exponent_sigma_reps(d)
+        assert list(arith._prime_powers_with_sigma(d)) == want, d
         if d in structured:
+            assert prime_power_sigma_solve(d) == (want[0] if want else None), d
             first = [(d - 1, 1)] if sympy.isprime(d - 1) else []
             assert prime_power_sigma_all(d) == tuple(first + want), d
 

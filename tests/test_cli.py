@@ -16,6 +16,7 @@ import phisigma.arith
 import phisigma.configs
 import phisigma.preimages
 import phisigma.sievelab
+import phisigma.sieves
 from phisigma import cli
 from phisigma.configs import build_config, config_to_payload, save_config
 from phisigma.preimages import multiplicity_table, sigma_preimages
@@ -163,18 +164,33 @@ def test_an_r_past_the_pool_bound_is_refused_before_2_to_the_r(capsys, argv):
 
 def test_table_k_range_is_held_to_the_capacity(capsys, monkeypatch):
     monkeypatch.setattr(phisigma.preimages, "multiplicity_table", None)  # never built
-    for argv in (("--k", "0..1e12"), ("--k", "0..100", "--capacity", "100")):
-        code, out, err = run_main(capsys, "table", "--map", "sigma", "--bound", "3", *argv)
-        assert (code, out) == (3, ""), argv
-        assert err.startswith("capacity error: k range size "), argv
+    code, out, err = run_main(capsys, "table", "--map", "sigma", "--bound", "3", "--k", "0..1e12")
+    assert (code, out) == (3, "")
+    assert err == "capacity error: k range size 1000000000001 exceeds capacity 200000000\n"
+    monkeypatch.setattr(phisigma.preimages, "SCAN_CAPACITY", 100)
+    code, out, err = run_main(capsys, "table", "--map", "sigma", "--bound", "3", "--k", "0..100")
+    assert (code, out) == (3, "")
+    assert err == "capacity error: k range size 101 exceeds capacity 100\n"
 
 
-def test_table_past_memory_is_a_capacity_error(capsys):
+def test_table_past_memory_is_a_capacity_error(capsys, monkeypatch):
     # numpy refuses 1e50 + 1 entries before any page is touched
-    code, out, err = run_main(capsys, "table", "--map", "phi", "--bound", "1e50",
-                              "--capacity", "1e60")
+    monkeypatch.setattr(phisigma.preimages, "SCAN_CAPACITY", 10 ** 60)
+    code, out, err = run_main(capsys, "table", "--map", "phi", "--bound", "1e50")
     assert (code, out) == (3, "")
     assert err.startswith("capacity error: table bound 1" + "0" * 50 + " ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "--map", "phi", "--bound", "100"),
+    ("min-m", "--map", "phi", "--k", "2", "--bound", "100"),
+])
+def test_the_table_capacity_is_no_flag(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--capacity", "5"])
+    out = capsys.readouterr()
+    assert (info.value.code, out.out) == (2, "")
+    assert "unrecognized arguments: --capacity 5" in out.err
 
 
 @pytest.mark.parametrize("command", ["verify-config", "certify"])
@@ -313,10 +329,39 @@ def test_corollary3_plan_of_a_hard_even_k_factors_nothing(capsys, monkeypatch):
     q = (2 ** 100 + 277) * (2 ** 101 + 81)  # two primes: rho needs tens of seconds
     monkeypatch.setattr(phisigma.arith, "factorize", refuse)
     code, out, err = run_main(capsys, "corollary3-plan", "--k", str(2 * q))
-    assert (code, err) == (0, "")
-    payload = json.loads(out)
-    assert (payload["prime_factor"], payload["multiplier_r"], payload["base_m"]) == (2, q, 1)
-    assert payload["invocation"] == f"theorem2 --m 1 --r {q}"
+    # refused by r's size, as its pool 2^(r+1) has no printable form
+    assert (code, out) == (3, "")
+    assert err.startswith(f"capacity error: plan multiplier r is {q}: its pool 2^(r+1) ")
+
+
+@pytest.mark.parametrize("k, pool", [(40, 2 ** 21), (60, 2 ** 31)])
+def test_corollary3_plan_invocation_is_valid_input(capsys, k, pool):
+    # from r = 20 on, 2^r + 1 reaches theorem2's default pool of 10^6
+    code, out, _ = run_main(capsys, "corollary3-plan", "--k", str(k))
+    assert code == 0
+    invocation = json.loads(out)["invocation"]
+    assert invocation == f"theorem2 --m 1 --r {k // 2} --pool {pool}"
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, *invocation.split())
+    assert time.perf_counter() - start < 1
+    # past the floor, an r x 2 target has 2^(2r) * (r + 1) divisors, over the
+    # ceiling certify meets: over capacity, not invalid input
+    assert (code, out) == (3, "")
+    assert err.startswith(f"capacity error: divisor count at least 2^{k} exceeds capacity")
+
+
+@pytest.mark.parametrize("command", ["verify-config", "certify"])
+def test_a_config_past_the_divisor_ceiling_exits_3_at_once(tmp_path, capsys, command):
+    # a 2x8 sigma target has 3 * 2^16 divisors; condition (ii) took 33 s to
+    # list them before the count was held to the ceiling
+    primes = phisigma.sieves.sieve_range(10 ** 6, 10 ** 6 + 400)[:16]
+    path = tmp_path / "cfg.json"
+    save_config(build_config([primes[:8], primes[8:]], "sigma"), str(path))
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, command, str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "capacity error: divisor count 196608 exceeds capacity 65536\n"
 
 
 @pytest.mark.parametrize("value, message", [
@@ -346,18 +391,22 @@ def test_l_value_of_the_odd_primes_to_173_is_a_capacity_error(capsys):
     assert (code, out, err) == (3, "", "capacity error: l-value exceeds the float range\n")
 
 
-def test_capacity_exit_code(capsys):
+def test_capacity_exit_code(capsys, monkeypatch):
     # the ceiling is the table's bound for either map, checked before any work
     code, out, _ = run_main(capsys, "table", "--map", "phi", "--k", "1..1", "--bound", "1e5")
     assert code == 0 and json.loads(out) == {"k": 1, "minimal_m": None, "scan_bound": 100000}
     for argv in (("table", "--map", "phi", "--bound", "3e8"),
                  ("table", "--map", "sigma", "--bound", "3e8"),
-                 ("min-m", "--map", "phi", "--k", "2", "--bound", "3e8"),
-                 ("table", "--map", "phi", "--bound", "101", "--capacity", "100")):
+                 ("min-m", "--map", "phi", "--k", "2", "--bound", "3e8")):
         code, out, err = run_main(capsys, *argv)
         assert code == 3 and out == "", argv
-        bound = "101" if "--capacity" in argv else "300000000"
-        assert err.startswith(f"capacity error: table bound {bound} exceeds capacity"), argv
+        assert err.startswith("capacity error: table bound 300000000 exceeds capacity"), argv
+    monkeypatch.setattr(phisigma.preimages, "SCAN_CAPACITY", 100)
+    for argv in (("table", "--map", "phi", "--bound", "101"),
+                 ("min-m", "--map", "sigma", "--k", "2", "--bound", "101")):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("capacity error: table bound 101 exceeds capacity 100"), argv
 
 
 def test_divisor_count_capacity_exit_code(capsys):
@@ -547,7 +596,7 @@ PUBLIC_NAMES = {
     "configs": ["Certificate", "PrimeConfig", "SearchStats", "VerificationReport",
                 "build_config", "certify", "check_condition_i", "check_condition_ii",
                 "check_condition_iii", "condition_index_set", "corollary3_plan",
-                "count_matchings", "enumerate_matchings", "load_config",
+                "enumerate_matchings", "load_config",
                 "save_config", "search_config", "theorem2_search", "verify"],
     "errors": ["CapacityError", "CertificationError", "DomainError"],
     "preimages": ["MultiplicityRecord", "PreimageSet", "minimal_m_with_multiplicity",
@@ -557,7 +606,7 @@ PUBLIC_NAMES = {
                  "count_shifted_almost_primes", "l_value",
                  "lemma3_reference_constant", "ratio_power_sum"],
     "sieves": ["iter_phi_blocks", "iter_sigma_blocks", "phi_table", "primes_upto",
-               "sieve_range", "sigma_table", "spf_table"],
+               "sieve_range", "sigma_table"],
 }
 
 NUMPY_FREE_SCRIPT = """

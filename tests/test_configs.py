@@ -8,6 +8,8 @@ import sympy
 
 import phisigma.arith
 import phisigma.configs as configs
+import phisigma.preimages
+import phisigma.sieves
 from phisigma.configs import (
     Certificate,
     DEFAULT_BUDGET,
@@ -21,7 +23,6 @@ from phisigma.configs import (
     config_from_payload,
     config_to_payload,
     corollary3_plan,
-    count_matchings,
     enumerate_matchings,
     form_value,
     load_config,
@@ -174,16 +175,11 @@ def test_failure_witnesses_replay():
 def test_matchings_structure():
     for r in range(1, 8):
         ms = enumerate_matchings(r)
-        assert count_matchings(r) == len(ms) == r
+        assert len(ms) == r
         allowed = {(i - 1, j - 1) for i, j in condition_index_set(r)}
         for per in ms:
             assert sorted(per) == list(range(r))
             assert all((i, per[i]) in allowed for i in range(r))
-
-
-def test_count_matchings_of_a_huge_r_is_r():
-    r = 10 ** 5000
-    assert count_matchings(r) == r
 
 
 def test_matchings_against_exhaustive_filter():
@@ -342,6 +338,10 @@ def test_corollary3_plan_values():
     assert corollary3_plan(4).multiplier_r == 2
     assert corollary3_plan(2).multiplier_r == 1
     assert corollary3_plan(10).multiplier_r == 5
+    # theorem2's default pool 10^6 lies above 2^19 + 1 but not 2^20 + 1
+    assert configs.DEFAULT_POOL == 10 ** 6
+    assert corollary3_plan(38).invocation == "theorem2 --m 1 --r 19"
+    assert corollary3_plan(40).invocation == "theorem2 --m 1 --r 20 --pool 2097152"
 
 
 def test_corollary3_plan_rejects_odd_or_small():
@@ -353,8 +353,13 @@ def test_corollary3_plan_rejects_odd_or_small():
 def test_corollary3_plan_names_an_unprintable_r_by_its_size():
     with pytest.raises(CapacityError, match=r"^plan multiplier r is a number of 16609 bits"):
         corollary3_plan(10 ** 5000)
-    r = 10 ** 4300 - 1  # the longest r that str() prints
-    assert corollary3_plan(2 * r).invocation == f"theorem2 --m 1 --r {r}"
+    # the largest r whose pool 2^(r+1) the CLI reads: 4,300 digits
+    r = configs._MAX_PLAN_R
+    assert len(str(2 ** (r + 1))) == 4300
+    assert corollary3_plan(2 * r).invocation == f"theorem2 --m 1 --r {r} --pool {2 ** (r + 1)}"
+    for big in (r + 1, 10 ** 4300 - 1):
+        with pytest.raises(CapacityError, match=f"^plan multiplier r is {big}: its pool 2"):
+            corollary3_plan(2 * big)
 
 
 def _random_config(rng, rs=(2, 3), ns=(2, 3)):
@@ -510,7 +515,8 @@ def test_form_value_gates_its_indices():
 
 
 # k = 2 * q with q a product of two primes near 2**100: factoring k by rho
-# takes tens of seconds, but an even k needs no factoring
+# takes tens of seconds, but an even k needs no factoring, and an r this
+# large is refused by its size (its pool 2^(r+1) has no printable form)
 HARD_Q = (2 ** 100 + 277) * (2 ** 101 + 81)
 
 
@@ -519,7 +525,55 @@ def test_corollary3_plan_factors_nothing(monkeypatch):
         raise AssertionError(f"factorize({n}) called")
 
     monkeypatch.setattr(phisigma.arith, "factorize", refuse)
-    plan = corollary3_plan(2 * HARD_Q)
+    with pytest.raises(CapacityError, match=f"^plan multiplier r is {HARD_Q}: its pool"):
+        corollary3_plan(2 * HARD_Q)
+    r = configs._MAX_PLAN_R
+    plan = corollary3_plan(2 * r)
     assert (plan.k, plan.prime_factor, plan.multiplier_r, plan.base_m,
-            plan.base_multiplicity) == (2 * HARD_Q, 2, HARD_Q, 1, 2)
-    assert plan.invocation == f"theorem2 --m 1 --r {HARD_Q}"
+            plan.base_multiplicity) == (2 * r, 2, r, 1, 2)
+
+
+# A 2x8 matrix of primes above 10^6: its sigma target 4 * t has
+# 3 * 2^16 divisors, and condition (ii) took 33 s to list them before the
+# divisor count was held to DIVISOR_CAPACITY.
+WIDE_PRIMES = [int(p) for p in sympy.primerange(10 ** 6, 10 ** 6 + 400)][:16]
+WIDE_2X8_MATRIX = (tuple(WIDE_PRIMES[:8]), tuple(WIDE_PRIMES[8:]))
+
+
+def test_conditions_hold_the_target_divisor_count_before_listing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("divisors listed")
+
+    sigma = build_config(WIDE_2X8_MATRIX, "sigma")
+    phi = build_config(WIDE_2X8_MATRIX, "phi", base_m=2)
+    monkeypatch.setattr(phisigma.arith, "divisors", refuse)
+    for check, cfg, count in ((check_condition_ii, sigma, 3 << 16),
+                              (check_condition_iii, sigma, 3 << 16),
+                              (check_condition_iii, phi, 4 << 16)):
+        with pytest.raises(CapacityError,
+                           match=f"^divisor count {count} exceeds capacity 65536$"):
+            check(cfg)
+    assert check_condition_ii(phi).passed  # the phi kind lists no divisor in (ii)
+
+
+def test_divisor_ceiling_is_exact_on_the_readme_configs(monkeypatch):
+    # 2x2 targets, 4 * t (times base_m = 1 for phi), have 3 * 2^4 = 48 divisors
+    for matrix, kind in ((SIGMA_R2_MATRIX, "sigma"), (PHI_R2_MATRIX, "phi")):
+        cfg = build_config(matrix, kind)
+        monkeypatch.setattr(phisigma.preimages, "DIVISOR_CAPACITY", 48)
+        assert verify(cfg).overall
+        monkeypatch.setattr(phisigma.preimages, "DIVISOR_CAPACITY", 47)
+        with pytest.raises(CapacityError, match="^divisor count 48 exceeds capacity 47$"):
+            verify(cfg)
+
+
+def test_search_holds_the_divisor_count_before_sieving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pool sieved")
+
+    monkeypatch.setattr(phisigma.sieves, "sieve_range", refuse)
+    with pytest.raises(CapacityError, match="^divisor count 196608 exceeds capacity 65536$"):
+        search_config("sigma", 2, 8, 10 ** 6, 1000)
+    # r * n past the ceiling's bits: 2^(r*n) is not formed
+    with pytest.raises(CapacityError, match="^divisor count at least 2\\^a number of "):
+        search_config("sigma", 2, 10 ** 5000, 10 ** 6, 1000)

@@ -26,19 +26,18 @@ SWEEP = [
     ("iroot", (100, 3), (0, 1)),
     ("is_prime", (7,), (0,)),
     ("prime_power_sigma_all", (31,), (0,)),
-    ("prime_power_sigma_solve", (31, 2), (0, 1)),
+    ("prime_power_sigma_solve", (31,), (0,)),
     ("sigma", (12,), (0,)),
     ("sigma_prime_power", (5, 2), (0, 1)),
-    ("minimal_m_with_multiplicity", (2, "phi", 100, 1000), (0, 2, 3)),
+    ("minimal_m_with_multiplicity", (2, "phi", 100), (0, 2)),
     ("multiplicity", (12, "sigma"), (0,)),
-    ("multiplicity_table", ("phi", 100, 1000), (1, 2)),
+    ("multiplicity_table", ("phi", 100), (1,)),
     ("phi_preimages", (4,), (0,)),
     ("sigma_preimages", (12,), (0,)),
     ("PrimeConfig", ("sigma", SIGMA_R2_MATRIX, 1), (2,)),
     ("build_config", (SIGMA_R2_MATRIX, "sigma", 1), (2,)),
     ("condition_index_set", (3,), (0,)),
     ("corollary3_plan", (6,), (0,)),
-    ("count_matchings", (3,), (0,)),
     ("enumerate_matchings", (3,), (0,)),
     ("search_config", ("sigma", 2, 2, 10 ** 4, 10, 0, 1), (1, 2, 3, 4, 5, 6)),
     ("theorem2_search", (2, 1, 2, 10 ** 4, 10, 0), (0, 1, 2, 3, 4, 5)),
@@ -51,7 +50,6 @@ SWEEP = [
     ("primes_upto", (100,), (0,)),
     ("sieve_range", (10, 30), (0, 1)),
     ("sigma_table", (100,), (0,)),
-    ("spf_table", (100,), (0,)),
 ]
 
 
@@ -104,8 +102,8 @@ def test_no_gate_on_a_cache_hit_or_per_loop_step(monkeypatch):
         arith.prime_power_sigma_all(31)
     assert gated == []
     # 18 exponents (even b from 2 to 36), one root each, and no solution: no is_prime call either
-    assert arith.prime_power_sigma_solve(2 ** 60 + 1, 2) is None
-    assert gated == ["sigma value", "min_exponent"]
+    assert arith.prime_power_sigma_solve(2 ** 60 + 1) is None
+    assert gated == ["sigma value"]
     gated.clear()
     assert arith._find_nontrivial_factor(1000003 * 1000033) in (1000003, 1000033)
     assert gated == []
@@ -129,17 +127,18 @@ def _work(*args, **kwargs):
 
 
 SPAN, POINT = sieves.DEFAULT_SPAN_CAPACITY, sieves.MAX_SIEVE_POINT
+TABLE_CEILING = 1000
 
 # One row per argument whose ceiling the gate holds: the call with the
 # argument v, the argument's name in the error, its ceiling, the first step
 # of the work (patched to raise _Work), and whether a call at the ceiling
 # reaches that step before anything costly (a dense table at the ceiling
-# allocates first).
+# allocates first).  The multiplicity tables' SCAN_CAPACITY is patched to
+# TABLE_CEILING, so that a table at its ceiling is small.
 CEILINGS = [
     ("primes_upto", lambda v: sieves.primes_upto(v), "prime bound", SPAN, "_primes", True),
     ("sieve_range", lambda v: sieves.sieve_range(v - 10, v), "range end", POINT,
      "primes_upto", True),
-    ("spf_table", lambda v: sieves.spf_table(v), "table bound", SPAN, "primes_upto", False),
     ("phi_table", lambda v: sieves.phi_table(v), "table bound", SPAN, "primes_upto", False),
     ("iter_phi_blocks", lambda v: sieves.iter_phi_blocks(v, v), "block range end", POINT,
      "primes_upto", True),
@@ -152,11 +151,11 @@ CEILINGS = [
      "primes_upto", True),
     ("ratio_power_sum_cutoff", lambda v: sievelab.ratio_power_sum(2.0, 100, v),
      "prime cutoff", SPAN, "primes_upto", True),
-    ("multiplicity_table", lambda v: preimages.multiplicity_table("phi", v, 1000),
-     "table bound", 1000, "_primes", True),
+    ("multiplicity_table", lambda v: preimages.multiplicity_table("phi", v),
+     "table bound", TABLE_CEILING, "_primes", True),
     ("minimal_m_with_multiplicity",
-     lambda v: preimages.minimal_m_with_multiplicity(2, "sigma", v, 1000), "table bound", 1000,
-     "_primes", True),
+     lambda v: preimages.minimal_m_with_multiplicity(2, "sigma", v), "table bound",
+     TABLE_CEILING, "_primes", True),
 ]
 
 
@@ -164,6 +163,7 @@ CEILINGS = [
                          [row[1:] for row in CEILINGS], ids=[row[0] for row in CEILINGS])
 def test_an_argument_past_its_ceiling_is_refused_before_any_work(
         monkeypatch, call, what, ceiling, first_step, cheap):
+    monkeypatch.setattr(preimages, "SCAN_CAPACITY", TABLE_CEILING)
     monkeypatch.setattr(sieves, first_step, _work)
     with pytest.raises(CapacityError, match="exceeds capacity") as exc:
         call(ceiling + 1)

@@ -149,14 +149,17 @@ def test_multiplicity_table_matches_per_value():
             assert table[m] == multiplicity(m, kind), (kind, m)
 
 
-def test_multiplicity_table_capacity_guard():
+def test_multiplicity_table_capacity_guard(monkeypatch):
     # one ceiling for both maps: the table's bound, checked before any work
     for kind in ("phi", "sigma"):
         with pytest.raises(CapacityError, match=f"table bound {SCAN_CAPACITY + 1} exceeds"):
             multiplicity_table(kind, SCAN_CAPACITY + 1)
+    # the module constant is read at call time
+    monkeypatch.setattr(phisigma.preimages, "SCAN_CAPACITY", 100)
+    for kind in ("phi", "sigma"):
         with pytest.raises(CapacityError, match="table bound 101 exceeds capacity 100"):
-            multiplicity_table(kind, 101, scan_capacity=100)
-    assert multiplicity_table("phi", 100, scan_capacity=100).shape == (101,)
+            multiplicity_table(kind, 101)
+    assert multiplicity_table("phi", 100).shape == (101,)
 
 
 def test_minimal_m_checks_capacity_before_any_table(monkeypatch):
@@ -450,16 +453,15 @@ def test_table_prefix_property():
 
 
 def test_table_wide_counts_path():
-    # scan_capacity only bounds m_bound: the count width follows m_bound alone
-    # (int32 below _INT32_BOUND, widened to int64; test_table_int64_counts_path
-    # runs the int64 accumulation), so a raised capacity changes no table
-    table = multiplicity_table("phi", 40000, scan_capacity=10 ** 10)
+    # the count width follows m_bound alone (int32 below _INT32_BOUND,
+    # widened to int64; test_table_int64_counts_path runs the int64
+    # accumulation)
+    table = multiplicity_table("phi", 40000)
     assert table.dtype == np.int64 and table.shape == (40001,)
     assert np.array_equal(table[:301], _sieved_table("phi", 300))
-    assert np.array_equal(table, multiplicity_table("phi", 10 ** 5, scan_capacity=10 ** 11)[:40001])
+    assert np.array_equal(table, multiplicity_table("phi", 10 ** 5)[:40001])
     # and a shorter table is a prefix of it
-    assert np.array_equal(multiplicity_table("phi", 30000, scan_capacity=10 ** 10),
-                          table[:30001])
+    assert np.array_equal(multiplicity_table("phi", 30000), table[:30001])
 
 
 def test_table_int64_counts_path(monkeypatch):
@@ -545,9 +547,10 @@ def test_table_holds_one_int64_buffer():
     assert float(per_entry) <= 10, per_entry
 
 
-def test_table_past_memory_is_a_capacity_error():
+def test_table_past_memory_is_a_capacity_error(monkeypatch):
+    monkeypatch.setattr(phisigma.preimages, "SCAN_CAPACITY", 10 ** 60)
     with pytest.raises(CapacityError, match=r"^table bound 10{50} "):
-        multiplicity_table("phi", 10 ** 50, scan_capacity=10 ** 60)
+        multiplicity_table("phi", 10 ** 50)
 
 
 def test_minimal_m_phi_equals_sieved_table_scan():

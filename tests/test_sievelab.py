@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from phisigma.sievelab import (
     lemma3_reference_constant,
     ratio_power_sum,
 )
-from phisigma.sieves import DEFAULT_SPAN_CAPACITY, phi_table, primes_upto, sieve_range, spf_table
+from phisigma.sieves import DEFAULT_SPAN_CAPACITY, phi_table, primes_upto, sieve_range
 
 
 def _naive_shifted_count(x, alpha, a):
@@ -240,25 +241,19 @@ def test_ratio_power_sum_integer_beta_is_its_float():
         ratio_power_sum(10 ** 400, 100)
 
 
+@lru_cache(maxsize=None)
+def _prime_factors(u):
+    return sympy.primefactors(u)
+
+
 def _loop_shifted_count(x, alpha, a):
-    """The per-prime loop over the smallest-factor table, as an oracle."""
-    spf = spf_table((x + 1) // 2)
+    """The per-prime loop over sympy's prime factors, as an oracle."""
     num, den = alpha.numerator, alpha.denominator
     x_pow = x ** num
     count = 0
     for s in sieve_range(x // 2 + 1, x):
-        u = (s - a) // 2
-        v = u
-        least = 0
-        distinct = 0
-        while v > 1:
-            p = int(spf[v])
-            if least == 0:
-                least = p
-            distinct += 1
-            while v % p == 0:
-                v //= p
-        if distinct >= 2 and least ** den > x_pow:
+        ps = _prime_factors((s - a) // 2)  # ascending
+        if len(ps) >= 2 and ps[0] ** den > x_pow:
             count += 1
     return count
 

@@ -28,7 +28,6 @@ from phisigma.sieves import (
     primes_upto,
     sieve_range,
     sigma_table,
-    spf_table,
 )
 
 
@@ -229,15 +228,6 @@ def test_pair_counts_in_threads(monkeypatch):
 def test_sieve_range_span_capacity():
     with pytest.raises(CapacityError):
         sieve_range(0, DEFAULT_SPAN_CAPACITY + 10)
-
-
-def test_spf_table():
-    spf = spf_table(10 ** 4)
-    assert spf[0] == 0 and spf[1] == 0
-    for n in range(2, 10 ** 4 + 1):
-        assert spf[n] == min(sympy.factorint(n)) if n > 1 else 0
-        if is_prime(n):
-            assert spf[n] == n
 
 
 def test_phi_table_matches_pointwise():
