@@ -72,6 +72,13 @@ TRIAL_DIVISION_CEILING = 1 << 44
 # Most steps one rho walk may take: 63 walks of 2**19 steps each, the work the
 # factorizer once spread over 63 fresh starts.
 _RHO_STEP_BUDGET = 63 << 19
+# Most divisors divisors() lists, checked before it lists any (20! has
+# 41,040; 10**5000 has 25,010,001).  This bounds a list of divisors of a
+# per-target m near 3 MB (2.7 MB at 2**16, tracemalloc) and a preimage
+# knapsack near 200 MB (extrapolated): its bytes per divisor grow with the
+# target (0.8 kB at 10,368 divisors, 2.3 kB at 28,224, whose phi fill took
+# 12-24 s on a 2-core Xeon).
+DIVISOR_CAPACITY = 1 << 16
 
 # Deterministic witness sets, each complete below its threshold.
 _MR_TIERS = (
@@ -339,13 +346,15 @@ def sigma(f: PrimeFactorization | int) -> int:
 
 
 def divisors(f: PrimeFactorization | int) -> list[int]:
-    """All positive divisors in increasing order.
+    """All positive divisors in increasing order; their count is held to
+    DIVISOR_CAPACITY before any is listed.
 
     >>> divisors(12)
     [1, 2, 3, 4, 6, 12]
     """
     if not isinstance(f, PrimeFactorization):
         f = factorize(f)
+    exact_int(math.prod(e + 1 for _, e in f.factors), "divisor count", most=DIVISOR_CAPACITY)
     out = [1]
     for p, e in f.factors:
         out = [d * p ** k for d in out for k in range(e + 1)]

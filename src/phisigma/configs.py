@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from math import prod
 
-from . import arith, preimages
+from . import arith
 from .errors import CapacityError, CertificationError, DomainError, shown
 from .preimages import PreimageSet, multiplicity, phi_preimages, sigma_preimages
 
@@ -204,10 +204,10 @@ def check_condition_i(cfg: PrimeConfig) -> ConditionIResult:
 
 def _hold_divisors(r: int, n: int, base_m: int) -> None:
     """Hold the divisor count of the target 2**r * t * base_m of an r x n
-    configuration to preimages.DIVISOR_CAPACITY.  The r*n matrix primes are
+    configuration to arith.DIVISOR_CAPACITY.  The r*n matrix primes are
     distinct and exceed 2**r * base_m, so the count is 2**(r*n) times the
     divisor count of 2**r * base_m; 2**(r*n) is formed only below the ceiling."""
-    capacity = preimages.DIVISOR_CAPACITY
+    capacity = arith.DIVISOR_CAPACITY
     if r * n >= capacity.bit_length():
         raise CapacityError(
             f"divisor count at least 2^{shown(r * n)} exceeds capacity {capacity}")

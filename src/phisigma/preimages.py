@@ -44,13 +44,7 @@ if TYPE_CHECKING:
 
 SCAN_CAPACITY = 2 * 10 ** 8  # most entries a multiplicity table may hold
 ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may build
-# Most divisors of a per-target m, checked before any is listed (20! has
-# 41,040).  Per entry, this bounds a _divisor_list tuple near 3 MB (2.7 MB of
-# divisors at 2**16, tracemalloc) and a _divisor_dp knapsack near 200 MB
-# (extrapolated): its bytes per divisor grow with the target (0.8 kB at
-# 10,368 divisors, 2.3 kB at 28,224, whose phi fill took 12-24 s on a
-# 2-core Xeon).
-DIVISOR_CAPACITY = 1 << 16
+DIVISOR_CAPACITY = arith.DIVISOR_CAPACITY  # held by arith.divisors; also importable from here
 _FIRST_CHUNK = 1 << 20  # table entries per step of minimal_m_by_multiplicity
 _FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
 # Below this table bound B the counts accumulate as int32 in the first half
@@ -118,12 +112,8 @@ def _prime_blocks(m: int, divs: tuple[int, ...], map_kind: str) -> list[list[tup
 def _divisor_list(m: int) -> tuple[int, ...]:
     """The divisors of m, ascending; both maps of one target factor it once.
     Under one map, enumeration and counting also fill its knapsack once
-    (the cache of _divisor_dp).  The divisor count is held to
-    DIVISOR_CAPACITY before any divisor is listed."""
-    f = arith.factorize(m)
-    arith.exact_int(math.prod(e + 1 for _, e in f.factors), "divisor count",
-                    most=DIVISOR_CAPACITY)
-    return tuple(arith.divisors(f))
+    (the cache of _divisor_dp)."""
+    return tuple(arith.divisors(m))
 
 
 class _DivisorDP:

@@ -11,17 +11,37 @@ range.  Two segment sizes serve two kinds of scan:
   2, 3, 5, 7, 11 and 13: one period of 30030 flags, the points prime to
   all six (30 KB, kept as two periods so that any phase is one slice),
   tiled by doubling copies; a wheel with 17 (period 510510) measured the
-  same.  Then each base prime p above 13 strikes in strides of 2p; one
-  with 2p longer than the segment hits it at most once, so those share one
-  vector step.  The base primes of every sieve are a prefix of one
-  memoised list (see _base_primes).
+  same.  Then the base primes p above 13 clear their odd multiples in
+  three tiers, by how many of them a segment of n points holds.  Each p up
+  to n / LOOP_SPLIT (at least 64 odd multiples) strides by 2p in a Python
+  loop.  The primes up to n / 2 lay their strides end to end in one array
+  of indices (np.repeat, then np.cumsum), which one fancy assignment
+  strikes.  A prime with 2p longer than the segment hits it at most once,
+  so those share one vector step.  Best-of-9 strike times in ms on a
+  2-core Xeon, with the loop running up to n / 2 (no middle tier) / n / 16
+  / n / 64 / n / 128 / n / 512: 10**5 points at 10**12 took 4.39 / 1.55 /
+  1.20 / 1.14 / 1.14, 10**6 points there 28.2 / 6.81 / 4.97 / 4.72 /
+  4.63, 4 * 10**6 points at 10**14 118 / 38.4 / 30.5 / 31.9 / 33.7 and at
+  10**16 202 / 111 / 103 / 98.7 / 99.3; sending the one-hit primes through
+  the index array too took 38.7 and 125 ms at those last two.  The array
+  costs about 20 us before its first index, the loop about 0.6 us per
+  prime with few multiples (64 such primes took 24-44 us either way at
+  2**12 to 2**20 points, best of 300), so fewer than RUN_FLOOR = 64 of
+  them stay in the loop (without that floor primes_upto(2000) took 53 us,
+  not 26).  So a sieve of one segment from 0 keeps to the loop (its base
+  primes end at its root, and fewer than 64 of them exceed n / 128), and
+  so does every STRIKE segment of a scan that ends below 8192**2 = 6.7e7.
+  The base primes of every sieve are a prefix of one memoised list (see
+  _base_primes).
   Scans from 0 strike boolean segments of STRIKE = 2**20 entries, which fit
   in L2.  Best-of times on a 2-core Xeon with 2 MB of L2 per core, at
   segments of 2**20 / 2**21 / 2**22 entries: the strike from 0 to 2e7 took
   39 / 42 / 65 ms, to 1e8 305 / 340 / 398 ms and to 2e8 759 / 725 /
   858 ms; the pairs to 4.97e6 took 9.2 / 12.0 / 14.8 ms (12.2 ms at 2**19).
-  Far from 0 each segment loops over every base prime (78,498 near 10**12),
-  so sieve_range keeps segments of SEGMENT = 2**22 entries.
+  Far from 0 every segment still reads every base prime once (the one-hit
+  tier alone holds 5.6 million of them near 10**16), so sieve_range keeps
+  long segments, SEGMENT = 2**22 entries; SEGMENT is also the value
+  blocks' ceiling (below), so it is not tuned for the strike alone.
   Below BASE_MEMO_ROOT = 10**7 a stream reads its flags from a store of
   tiles instead of striking them: tile i holds the flags of [i * STRIKE,
   (i + 1) * STRIKE), packed eight to a byte (128 KB), struck the first time
@@ -76,6 +96,8 @@ from .errors import DomainError, shown
 
 SEGMENT = 1 << 22  # sieve_range segment; also the value-block ceiling
 STRIKE = 1 << 20  # prime-flag segment for scans from 0, sized for L2 (see above)
+LOOP_SPLIT = 128  # base primes up to segment / LOOP_SPLIT stride one by one (see above)
+RUN_FLOOR = 64  # fewest base primes that strike through one index array (see above)
 VALUE_BLOCK = 1 << 17  # value block, sized for L2
 BLOCK_PER_BASE_PRIME = 64  # value block floor, per base prime
 DEFAULT_SPAN_CAPACITY = 2 * 10 ** 8
@@ -113,15 +135,44 @@ def _strike(flags: np.ndarray, start: int, base: np.ndarray) -> None:
         flags[: _HEAD.size - start] = _HEAD[start : start + n]
     # the array method: np.searchsorted costs three times as much per call
     lo = int(base.searchsorted(_WHEEL_PRIMES[-1], "right"))
-    split = max(lo, int(base.searchsorted(n // 2, "right")))
+    mid = max(lo, int(base.searchsorted(n // LOOP_SPLIT, "right")))
+    split = max(mid, int(base.searchsorted(n // 2, "right")))
+    if split - mid < RUN_FLOOR:
+        mid = split
     # each p from its first odd multiple >= max(p*p, start)
-    for p in base[lo:split].tolist():
+    for p in base[lo:mid].tolist():
         flags[max(p * p, (-(-start // p) | 1) * p) - start :: 2 * p] = False
+    if mid < split:
+        _strike_runs(flags, start, base[mid:split])
     # an odd prime with 2p longer than the segment hits it at most once
     if split < base.size:
-        wide = base[split:]
-        first = np.maximum(wide * wide, (-(-start // wide) | 1) * wide) - start
+        first = _first_offsets(base[split:], start)
         flags[first[first < n]] = False
+
+
+def _first_offsets(primes: np.ndarray, start: int) -> np.ndarray:
+    """The offset from start of each prime's first odd multiple >= max(p*p,
+    start)."""
+    return np.maximum(primes * primes, (-(-start // primes) | 1) * primes) - start
+
+
+def _strike_runs(flags: np.ndarray, start: int, primes: np.ndarray) -> None:
+    """Clear the odd multiples of primes in the segment, as _strike's loop
+    would, in one vector step: the strides of all the primes, run after run,
+    are the steps of one cumulative sum of indices, each run's first step
+    jumping from the last index of the run before.  The steps are int32, as
+    no index or jump reaches the segment's size (at most
+    DEFAULT_SPAN_CAPACITY < 2**31), which halves the array of indices; its
+    length is the primes' count of odd multiples in the segment."""
+    n = flags.size
+    first = _first_offsets(primes, start)
+    hits = first < n
+    first, step = first[hits], 2 * primes[hits]
+    count = (n - 1 - first) // step + 1
+    idx = np.repeat(step.astype(np.int32), count)
+    first[1:] -= first[:-1] + step[:-1] * (count[:-1] - 1)
+    idx[np.cumsum(count) - count] = first
+    flags[np.cumsum(idx, out=idx)] = False
 
 
 # Every base list is a prefix of one list of the primes up to a bound, seeded
@@ -228,6 +279,11 @@ def sieve_range(lo: int, hi: int) -> list[int]:
 
     >>> sieve_range(10, 30)
     [11, 13, 17, 19, 23, 29]
+    >>> sieve_range(10**12, 10**12 + 100)  # the loop and one-hit tiers of the strike
+    [1000000000039, 1000000000061, 1000000000063, 1000000000091]
+    >>> window = sieve_range(10**12, 10**12 + 9999)  # and 648 base primes in runs
+    >>> len(window), window[-1]
+    (335, 1000000009999)
     """
     lo, hi = exact_int(lo, "range start"), exact_int(hi, "range end", most=MAX_SIEVE_POINT)
     if lo > hi:

@@ -560,9 +560,9 @@ def test_divisor_ceiling_is_exact_on_the_readme_configs(monkeypatch):
     # 2x2 targets, 4 * t (times base_m = 1 for phi), have 3 * 2^4 = 48 divisors
     for matrix, kind in ((SIGMA_R2_MATRIX, "sigma"), (PHI_R2_MATRIX, "phi")):
         cfg = build_config(matrix, kind)
-        monkeypatch.setattr(phisigma.preimages, "DIVISOR_CAPACITY", 48)
+        monkeypatch.setattr(phisigma.arith, "DIVISOR_CAPACITY", 48)
         assert verify(cfg).overall
-        monkeypatch.setattr(phisigma.preimages, "DIVISOR_CAPACITY", 47)
+        monkeypatch.setattr(phisigma.arith, "DIVISOR_CAPACITY", 47)
         with pytest.raises(CapacityError, match="^divisor count 48 exceeds capacity 47$"):
             verify(cfg)
 

@@ -183,6 +183,8 @@ def test_an_integer_past_the_str_digit_limit_is_named_by_its_size():
         configs.search_config("sigma", 2, 2, huge, 10)
     with pytest.raises(DomainError, match="^pool bound 1000 is below the 2"):
         configs.search_config("sigma", huge, 2, 1000, 10)
+    with pytest.raises(CapacityError, match="^divisor count 25010001 exceeds capacity 65536$"):
+        arith.divisors(huge)
 
 
 @pytest.mark.parametrize("name, args, positions", SWEEP, ids=[row[0] for row in SWEEP])

@@ -391,16 +391,23 @@ def _listed(*args, **kwargs):
 
 
 def test_divisor_count_past_its_ceiling_is_refused_before_any_listing(monkeypatch):
-    monkeypatch.setattr(phisigma.arith, "divisors", _listed)
     monkeypatch.setattr(phisigma.preimages, "_prime_blocks", _listed)
     phisigma.preimages._divisor_list.cache_clear()
     phisigma.preimages._divisor_dp.cache_clear()
     cap = phisigma.preimages.DIVISOR_CAPACITY
     primes = cap.bit_length() - 1
     assert cap == 1 << primes  # the product of that many primes sits at the ceiling
-    with pytest.raises(CapacityError) as exc:
-        multiplicity(2 ** cap, "phi")  # cap + 1 divisors
+    # arith.divisors holds the count: listing the cap + 1 divisors of 2**cap
+    # would take about 270 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as exc:
+            multiplicity(2 ** cap, "phi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert str(exc.value) == f"divisor count {cap + 1} exceeds capacity {cap}"
+    assert peak < 1 << 20
     with pytest.raises(CapacityError, match="divisor count 160801 exceeds"):
         sigma_preimages(10 ** 400)
     with pytest.raises(_Listed):

@@ -16,8 +16,8 @@ from phisigma.arith import euler_phi, factorize, is_prime, sigma
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
 from phisigma.sievelab import _exact_sum
-from phisigma.sieves import (BASE_MEMO_ROOT, STRIKE, _PERIOD, _base_primes, _block, _primes,
-                             _segments, _strike)
+from phisigma.sieves import (BASE_MEMO_ROOT, LOOP_SPLIT, STRIKE, _PERIOD, _base_primes, _block,
+                             _primes, _segments, _strike)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -130,6 +130,48 @@ def test_strike_against_is_prime(start, size):
 def test_strike_from_below_the_wheel_primes(start):
     for size in [*range(1, 40), _PERIOD + 20]:
         assert _strike_flags(start, size) == [is_prime(k) for k in range(start, start + size)], size
+
+
+# The strike's three tiers (the loop, the runs of primes up to size / 2, the
+# one-hit primes) against a strike that strides every multiple of every base
+# prime in a loop.  Both strike with the base primes up to 2**17 only, so
+# the loop stays short far from 0: past 2**34 the flags then mark the points
+# with no prime factor up to 2**17, not the primes.  Every segment size
+# drawn has base primes in the runs and the one-hit tiers, and from
+# 17 * LOOP_SPLIT points on in the loop as well.  Segments start anywhere
+# in [0, 10**16], below 2**17 (so that they hold base primes themselves),
+# and just either side of p*p for the primes at each tier edge.
+TIER_BASE = _primes(0, 1 << 17, STRIKE)
+
+
+def _loop_strike(start, size):
+    flags = np.ones(size, dtype=bool)
+    flags[: max(2 - start, 0)] = False  # 0 and 1
+    for p in TIER_BASE.tolist():
+        flags[max(p * p, -(-start // p) * p) - start :: p] = False
+    return flags.tolist()
+
+
+@st.composite
+def _tier_segments(draw):
+    size = draw(st.integers(1 << 10, 1 << 16))
+    edges = []
+    for edge in (size // LOOP_SPLIT, size // 2):
+        i = int(TIER_BASE.searchsorted(edge, "right"))
+        edges += TIER_BASE[i - 1 : i + 1].tolist()  # the last prime at or below it, the next
+    near_square = st.builds(lambda p, d: max(p * p + d, 0),
+                            st.sampled_from(edges), st.integers(-size, size))
+    start = draw(st.one_of(st.integers(0, 10 ** 16), st.integers(0, 1 << 17), near_square))
+    return start, size
+
+
+@settings(SETTINGS, max_examples=150)
+@given(_tier_segments())
+def test_strike_tiers_against_a_loop_strike(segment):
+    start, size = segment
+    flags = np.empty(size, dtype=bool)
+    _strike(flags, start, TIER_BASE)
+    assert flags.tolist() == _loop_strike(start, size)
 
 
 # The stream's segments, from near 0 and near 10**12, with a carry shorter

@@ -20,6 +20,7 @@ from phisigma.sievelab import count_prime_pairs
 from phisigma.sieves import (
     BLOCK_PER_BASE_PRIME,
     DEFAULT_SPAN_CAPACITY,
+    LOOP_SPLIT,
     SEGMENT,
     VALUE_BLOCK,
     iter_phi_blocks,
@@ -346,9 +347,11 @@ def _trial_division_primes(lo, hi):
 
 
 def test_sieve_range_around_loop_vector_split():
-    # base primes up to the window length run the loop, longer ones the vector step
+    # base primes up to the window length run the loop, longer ones the vector step;
+    # 17 and 19 sit exactly at width / LOOP_SPLIT, 17, 97 and 997 at width / 2
     for lo in (0, 1, 2, 97, 10 ** 6 - 7, 999_983, 10 ** 7 + 1):
-        for width in (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 30, 31, 32, 400):
+        for width in (1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 30, 31, 32, 400,
+                      17 * LOOP_SPLIT, 19 * LOOP_SPLIT, 34, 194, 1994):
             hi = lo + width - 1
             assert sieve_range(lo, hi) == _trial_division_primes(lo, hi), (lo, width)
 
