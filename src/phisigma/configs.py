@@ -18,8 +18,10 @@ index pairs admit exactly r perfect matchings of rows onto columns, the
 identity and the transpositions of row 1 with another row, so they are
 written down, not searched for.  The certifier re-derives the count by
 exhaustive preimage enumeration and refuses to emit a certificate on any
-disagreement.  Conditions (ii) and (iii) and the search first hold the
-target's divisor count to DIVISOR_CAPACITY, which that enumeration meets.
+disagreement.  The checks and the certifier read the target's factorization,
+known by construction (PrimeConfig.factors); forming it holds the divisor
+count to DIVISOR_CAPACITY, which that enumeration meets, as the search and
+the plan do before they build anything.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .preimages import PreimageSet, multiplicity, phi_preimages, sigma_preimages
 LEMMA_KINDS = {"1": "phi", "2": "sigma"}  # config-file "lemma" -> kind
 DEFAULT_BUDGET = 200_000
 DEFAULT_POOL = 10 ** 6  # theorem2_search's pool bound
-_MAX_PLAN_R = 14_283  # 2^(r+1) has at most 4,300 digits, the most the CLI reads
+R_CAPACITY = 1 << 10  # most rows listed; enumerate_matchings(2**10): 0.08 s, 32 MB (2-core Xeon)
 
 
 def _form_sign(kind: str) -> int:
@@ -119,6 +121,15 @@ class PrimeConfig:
         return (1 << self.r) * self.t * self.base_m
 
     @property
+    def factors(self) -> arith.PrimeFactorization:
+        """The target's factorization, 2**r * base_m's then each matrix entry
+        (all above 2**r * base_m + 1), its divisor count held at each read."""
+        _hold_divisors(self.r, self.n, self.base_m)
+        head = arith.factorize(self.base_m << self.r)
+        entries = tuple(sorted((p, 1) for row in self.matrix for p in row))
+        return arith.PrimeFactorization(self.target, head.factors + entries)
+
+    @property
     def predicted_multiplicity(self) -> int:
         return self.r if self.base_k is None else self.r * self.base_k
 
@@ -132,7 +143,7 @@ def build_config(matrix, kind: str, base_m: int = 1) -> PrimeConfig:
 def condition_index_set(r: int) -> tuple[tuple[int, int], ...]:
     """The (i, j) pairs (1-based) whose forms must be prime: i=1, j=1 or i=j,
     in row-major order: row 1 whole, then (i, 1) and (i, i) for each i > 1."""
-    r = arith.exact_int(r, "r", 1)
+    r = arith.exact_int(r, "r", 1, R_CAPACITY)
     return tuple((1, j) for j in range(1, r + 1)) + tuple(
         pair for i in range(2, r + 1) for pair in ((i, 1), (i, i)))
 
@@ -215,11 +226,6 @@ def _hold_divisors(r: int, n: int, base_m: int) -> None:
     arith.exact_int(rest << (r * n), "divisor count", most=capacity)
 
 
-def _t_factors(cfg: PrimeConfig) -> tuple[tuple[int, int], ...]:
-    """t's prime factors: every matrix entry to the first power, ascending."""
-    return tuple((p, 1) for p in sorted(p for row in cfg.matrix for p in row))
-
-
 def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
     """sigma kind: no divisor d > 2**r of 2**r * t may be sigma of a prime
     power pi**b with b >= 2.  The phi kind has no such demand."""
@@ -228,10 +234,8 @@ def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
             True, None,
             "no prime-power divisor demand for the phi kind; the form values "
             "are distinct by construction (see condition (i))")
-    _hold_divisors(cfg.r, cfg.n, cfg.base_m)
     threshold = 1 << cfg.r
-    target = arith.PrimeFactorization(threshold * cfg.t, ((2, cfg.r),) + _t_factors(cfg))
-    for d in arith.divisors(target):
+    for d in arith.divisors(cfg.factors):
         if d <= threshold:
             continue
         hit = arith.prime_power_sigma_solve(d)
@@ -244,12 +248,10 @@ def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:
 def check_condition_iii(cfg: PrimeConfig) -> ConditionIIIResult:
     """2*d1*d2 + a must be composite for every d1 | t with d1 > 1 and every
     d2 | 2**(r-1) * base_m, except values literally listed by condition (i)."""
-    _hold_divisors(cfg.r, cfg.n, cfg.base_m)
+    t_fact = arith.PrimeFactorization(cfg.t, cfg.factors.factors[-cfg.r * cfg.n:])
     sign = _form_sign(cfg.kind)
     exempt = set(cfg.forms.values())
-    t_fact = arith.PrimeFactorization(cfg.t, _t_factors(cfg))
-    cof = (1 << (cfg.r - 1)) * cfg.base_m
-    d2s = arith.divisors(arith.factorize(cof))
+    d2s = arith.divisors((1 << (cfg.r - 1)) * cfg.base_m)
     examined = 0
     exempted = 0
     for d1 in arith.divisors(t_fact):
@@ -284,7 +286,7 @@ def enumerate_matchings(r: int) -> tuple[tuple[int, ...], ...]:
     forced: there are exactly r matchings, the identity (j = 1) and the
     transpositions of rows 1 and j, listed in lexicographic order.
     """
-    r = arith.exact_int(r, "r", 1)
+    r = arith.exact_int(r, "r", 1, R_CAPACITY)
     return tuple(tuple(j if i == 0 else 0 if i == j else i for i in range(r))
                  for j in range(r))
 
@@ -317,7 +319,7 @@ def certify(cfg: PrimeConfig) -> Certificate:
     predicted = cfg.predicted_multiplicity
     preimages_of = phi_preimages if cfg.kind == "phi" else sigma_preimages
     expected = sorted(P * w for P in products for w in preimages_of(cfg.base_m).solutions)
-    observed = preimages_of(target)
+    observed = preimages_of(cfg.factors)
     if list(observed.solutions) != expected:
         raise CertificationError(
             f"target {target}: predicted {predicted} structured solutions, "
@@ -507,29 +509,25 @@ def corollary3_plan(k: int) -> ScalePlan:
     """Plan phi-multiplicity k = 2 * r for an even k over base m = 1, the least
     value of phi-multiplicity 2: phi(1) = phi(2) = 1 < phi(n) for n > 2.
 
-    The invocation carries --pool 2^(r+1) once the 2^r floor reaches
-    DEFAULT_POOL; an r past _MAX_PLAN_R is refused before 2^r is formed.
+    The r x 2 target's divisor count is held as theorem2 holds it, so a k
+    whose invocation would exit over capacity (k >= 14) is refused here;
+    below that, 2^r + 1 <= 65 stays under theorem2's default pool.
 
     >>> corollary3_plan(6).invocation
     'theorem2 --m 1 --r 3'
-    >>> corollary3_plan(40).invocation
-    'theorem2 --m 1 --r 20 --pool 2097152'
     """
     k = arith.exact_int(k, "k", 2)
     if k % 2:
         raise DomainError(f"plan requires an even k >= 2, got {shown(k)}")
     r = k // 2
-    if r > _MAX_PLAN_R:
-        raise CapacityError(f"plan multiplier r is {shown(r)}: its pool 2^(r+1) would "
-                            f"pass 4300 digits, too long to print in its invocation")
-    pool = "" if (1 << r) + 1 < DEFAULT_POOL else f" --pool {1 << (r + 1)}"
+    _hold_divisors(r, 2, 1)
     return ScalePlan(
         k=k,
         prime_factor=2,
         multiplier_r=r,
         base_m=1,
         base_multiplicity=2,
-        invocation=f"theorem2 --m 1 --r {r}{pool}",
+        invocation=f"theorem2 --m 1 --r {r}",
     )
 
 

@@ -109,10 +109,10 @@ def _prime_blocks(m: int, divs: tuple[int, ...], map_kind: str) -> list[list[tup
 
 
 @lru_cache(maxsize=1 << 8)
-def _divisor_list(m: int) -> tuple[int, ...]:
-    """The divisors of m, ascending; both maps of one target factor it once.
-    Under one map, enumeration and counting also fill its knapsack once
-    (the cache of _divisor_dp)."""
+def _divisor_list(m: int | arith.PrimeFactorization) -> tuple[int, ...]:
+    """The divisors of m, or of the value a PrimeFactorization m holds,
+    ascending; both maps of one target factor it once.  Under one map,
+    enumeration and counting also fill its knapsack once (_divisor_dp)."""
     return tuple(arith.divisors(m))
 
 
@@ -134,8 +134,9 @@ class _DivisorDP:
     divisor above v.
     """
 
-    def __init__(self, m: int, map_kind: str):
+    def __init__(self, m: int | arith.PrimeFactorization, map_kind: str):
         divs = _divisor_list(m)
+        self.m = m = divs[-1]
         index = {d: k for k, d in enumerate(divs)}
         self.blocks = _prime_blocks(m, divs, map_kind)
         count = [0] * len(divs)
@@ -192,27 +193,28 @@ class _DivisorDP:
 # divisors, 4-5 MB at 5,184, 9 MB at 10,368, 64 MB at 28,224).  Eight entries
 # hold both maps of four targets, 40 MB at 5,184 divisors each.
 @lru_cache(maxsize=8)
-def _divisor_dp(m: int, map_kind: str) -> _DivisorDP | None:
-    """The engine for m, or None when m has no preimage for a parity reason;
-    m is already gated, so a float never reaches the cache."""
-    if map_kind == "phi" and m % 2 and m > 1:
+def _divisor_dp(m: int | arith.PrimeFactorization, map_kind: str) -> _DivisorDP | None:
+    """The engine for m, or None when an int m has no preimage by parity (a
+    factored m costs no factoring); m is gated, so no float reaches the cache."""
+    if map_kind == "phi" and isinstance(m, int) and m % 2 and m > 1:
         return None  # phi(x) is even for x >= 3
     return _DivisorDP(m, map_kind)
 
 
-def _preimages(m: int, map_kind: str) -> PreimageSet:
-    m = arith.exact_int(m, "target", 1)
+def _preimages(m: int | arith.PrimeFactorization, map_kind: str) -> PreimageSet:
+    if not isinstance(m, arith.PrimeFactorization):
+        m = arith.exact_int(m, "target", 1)
     dp = _divisor_dp(m, map_kind)
     if dp is None:
         return PreimageSet(m, map_kind, ())
     if dp.total > ENUM_CAPACITY:
-        raise CapacityError(
-            f"{map_kind} has {dp.total} preimages of {shown(m)}, over capacity {ENUM_CAPACITY}")
-    return PreimageSet(m, map_kind, tuple(sorted(dp.solutions())))
+        raise CapacityError(f"{map_kind} has {dp.total} preimages of {shown(dp.m)}, "
+                            f"over capacity {ENUM_CAPACITY}")
+    return PreimageSet(dp.m, map_kind, tuple(sorted(dp.solutions())))
 
 
-def phi_preimages(m: int) -> PreimageSet:
-    """All x with phi(x) == m.
+def phi_preimages(m: int | arith.PrimeFactorization) -> PreimageSet:
+    """All x with phi(x) == m, for an int m or its PrimeFactorization.
 
     >>> phi_preimages(4).solutions
     (5, 8, 10, 12)
@@ -220,8 +222,8 @@ def phi_preimages(m: int) -> PreimageSet:
     return _preimages(m, "phi")
 
 
-def sigma_preimages(m: int) -> PreimageSet:
-    """All x with sigma(x) == m.
+def sigma_preimages(m: int | arith.PrimeFactorization) -> PreimageSet:
+    """All x with sigma(x) == m, for an int m or its PrimeFactorization.
 
     >>> sigma_preimages(12).solutions
     (6, 11)

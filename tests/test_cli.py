@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -329,25 +330,25 @@ def test_corollary3_plan_of_a_hard_even_k_factors_nothing(capsys, monkeypatch):
     q = (2 ** 100 + 277) * (2 ** 101 + 81)  # two primes: rho needs tens of seconds
     monkeypatch.setattr(phisigma.arith, "factorize", refuse)
     code, out, err = run_main(capsys, "corollary3-plan", "--k", str(2 * q))
-    # refused by r's size, as its pool 2^(r+1) has no printable form
+    # refused by the divisor count 2^(2r) alone
     assert (code, out) == (3, "")
-    assert err.startswith(f"capacity error: plan multiplier r is {q}: its pool 2^(r+1) ")
+    assert err == f"capacity error: divisor count at least 2^{2 * q} exceeds capacity 65536\n"
 
 
-@pytest.mark.parametrize("k, pool", [(40, 2 ** 21), (60, 2 ** 31)])
-def test_corollary3_plan_invocation_is_valid_input(capsys, k, pool):
-    # from r = 20 on, 2^r + 1 reaches theorem2's default pool of 10^6
-    code, out, _ = run_main(capsys, "corollary3-plan", "--k", str(k))
-    assert code == 0
-    invocation = json.loads(out)["invocation"]
-    assert invocation == f"theorem2 --m 1 --r {k // 2} --pool {pool}"
+@pytest.mark.parametrize("k", [14, 40, 60])
+def test_corollary3_plan_refuses_a_k_whose_invocation_must_exit_3(capsys, k):
+    # an r x 2 target has 2^(2r) * (r + 1) divisors, from r = 7 on over the
+    # ceiling certify meets: the plan exits 3 with the error that theorem2
+    # gives for that r over a pool past its 2^r floor
     start = time.perf_counter()
-    code, out, err = run_main(capsys, *invocation.split())
+    plan = run_main(capsys, "corollary3-plan", "--k", str(k))
     assert time.perf_counter() - start < 1
-    # past the floor, an r x 2 target has 2^(2r) * (r + 1) divisors, over the
-    # ceiling certify meets: over capacity, not invalid input
-    assert (code, out) == (3, "")
-    assert err.startswith(f"capacity error: divisor count at least 2^{k} exceeds capacity")
+    r = k // 2
+    search = run_main(capsys, "theorem2", "--m", "1", "--r", str(r), "--pool", str(2 ** (r + 1)))
+    assert plan == search
+    assert plan[:2] == (3, "")
+    assert re.fullmatch(r"capacity error: divisor count (at least 2\^)?\d+ exceeds capacity 65536\n",
+                        plan[2])
 
 
 @pytest.mark.parametrize("command", ["verify-config", "certify"])

@@ -338,10 +338,11 @@ def test_corollary3_plan_values():
     assert corollary3_plan(4).multiplier_r == 2
     assert corollary3_plan(2).multiplier_r == 1
     assert corollary3_plan(10).multiplier_r == 5
-    # theorem2's default pool 10^6 lies above 2^19 + 1 but not 2^20 + 1
-    assert configs.DEFAULT_POOL == 10 ** 6
-    assert corollary3_plan(38).invocation == "theorem2 --m 1 --r 19"
-    assert corollary3_plan(40).invocation == "theorem2 --m 1 --r 20 --pool 2097152"
+    # an r x 2 target has 2^(2r) * (r + 1) divisors: 28,672 at r = 6, and
+    # from r = 7 on past the ceiling that theorem2 meets, so the plan stops at 12
+    assert corollary3_plan(12).invocation == "theorem2 --m 1 --r 6"
+    with pytest.raises(CapacityError, match="^divisor count 131072 exceeds capacity 65536$"):
+        corollary3_plan(14)
 
 
 def test_corollary3_plan_rejects_odd_or_small():
@@ -351,15 +352,15 @@ def test_corollary3_plan_rejects_odd_or_small():
 
 
 def test_corollary3_plan_names_an_unprintable_r_by_its_size():
-    with pytest.raises(CapacityError, match=r"^plan multiplier r is a number of 16609 bits"):
+    with pytest.raises(CapacityError, match=r"^divisor count at least 2\^a number of 16610 bits "
+                                            r"exceeds capacity 65536$"):
         corollary3_plan(10 ** 5000)
-    # the largest r whose pool 2^(r+1) the CLI reads: 4,300 digits
-    r = configs._MAX_PLAN_R
-    assert len(str(2 ** (r + 1))) == 4300
-    assert corollary3_plan(2 * r).invocation == f"theorem2 --m 1 --r {r} --pool {2 ** (r + 1)}"
-    for big in (r + 1, 10 ** 4300 - 1):
-        with pytest.raises(CapacityError, match=f"^plan multiplier r is {big}: its pool 2"):
-            corollary3_plan(2 * big)
+    # 2^(2r) is formed only below the ceiling's 17 bits
+    with pytest.raises(CapacityError, match="^divisor count 589824 exceeds capacity 65536$"):
+        corollary3_plan(16)
+    for k in (18, 2 * 10 ** 4299):  # 2r printed in full up to 4,300 digits
+        with pytest.raises(CapacityError, match=f"^divisor count at least 2\\^{k} exceeds"):
+            corollary3_plan(k)
 
 
 def _random_config(rng, rs=(2, 3), ns=(2, 3)):
@@ -516,21 +517,51 @@ def test_form_value_gates_its_indices():
 
 # k = 2 * q with q a product of two primes near 2**100: factoring k by rho
 # takes tens of seconds, but an even k needs no factoring, and an r this
-# large is refused by its size (its pool 2^(r+1) has no printable form)
+# large is refused by the divisor count 2^(2r) alone
 HARD_Q = (2 ** 100 + 277) * (2 ** 101 + 81)
 
 
 def test_corollary3_plan_factors_nothing(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"factorize({n}) called")
-
-    monkeypatch.setattr(phisigma.arith, "factorize", refuse)
-    with pytest.raises(CapacityError, match=f"^plan multiplier r is {HARD_Q}: its pool"):
+    factored = []
+    real = phisigma.arith.factorize
+    monkeypatch.setattr(phisigma.arith, "factorize", lambda n: factored.append(n) or real(n))
+    with pytest.raises(CapacityError, match=f"^divisor count at least 2\\^{2 * HARD_Q} exceeds"):
         corollary3_plan(2 * HARD_Q)
-    r = configs._MAX_PLAN_R
-    plan = corollary3_plan(2 * r)
-    assert (plan.k, plan.prime_factor, plan.multiplier_r, plan.base_m,
-            plan.base_multiplicity) == (2 * r, 2, r, 1, 2)
+    assert factored == []
+    for r in range(1, 9):  # 2^r alone is factored, to count the target's divisors
+        if r < 7:
+            plan = corollary3_plan(2 * r)
+            assert (plan.k, plan.prime_factor, plan.multiplier_r, plan.base_m,
+                    plan.base_multiplicity) == (2 * r, 2, r, 1, 2)
+        else:
+            with pytest.raises(CapacityError, match="^divisor count"):
+                corollary3_plan(2 * r)
+        assert factored == [2 ** r]
+        factored.clear()
+
+
+def test_certify_factors_nothing_the_config_holds(monkeypatch):
+    # the README sigma config and the configs of theorem2's searches
+    cfgs = [build_config(SIGMA_R2_MATRIX, "sigma")]
+    cfgs += [theorem2_search(m, r)[1].config for m, r in ((1, 3), (2, 2))]
+    want = [certify(cfg) for cfg in cfgs]
+    assert [len(c.observed_preimages.solutions) for c in want] == [2, 6, 6]
+    assert want[0].observed_preimages.solutions == SIGMA_R2_SOLUTIONS
+    for cfg, cert in zip(cfgs, want):  # the enumeration of the plain target agrees
+        preimages_of = phi_preimages if cfg.kind == "phi" else sigma_preimages
+        assert preimages_of(cfg.target) == cert.observed_preimages
+    phisigma.preimages._divisor_dp.cache_clear()
+    phisigma.preimages._divisor_list.cache_clear()
+    real = phisigma.arith.factorize
+    for cfg, cert in zip(cfgs, want):
+        floor = (1 << cfg.r) * cfg.base_m
+
+        def refuse(n, floor=floor):
+            assert n <= floor, f"factorize({n}) called"
+            return real(n)
+
+        monkeypatch.setattr(phisigma.arith, "factorize", refuse)
+        assert certify(cfg) == cert
 
 
 # A 2x8 matrix of primes above 10^6: its sigma target 4 * t has

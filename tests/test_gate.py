@@ -185,6 +185,9 @@ def test_an_integer_past_the_str_digit_limit_is_named_by_its_size():
         configs.search_config("sigma", huge, 2, 1000, 10)
     with pytest.raises(CapacityError, match="^divisor count 25010001 exceeds capacity 65536$"):
         arith.divisors(huge)
+    for rows in (configs.condition_index_set, configs.enumerate_matchings):
+        with pytest.raises(CapacityError, match="^r a number of 16610 bits exceeds capacity 1024$"):
+            rows(huge)
 
 
 @pytest.mark.parametrize("name, args, positions", SWEEP, ids=[row[0] for row in SWEEP])

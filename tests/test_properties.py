@@ -6,13 +6,15 @@ and database=None keeps no example store between runs.
 
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phisigma.arith import euler_phi, factorize, is_prime, sigma
+from phisigma import sieves
+from phisigma.arith import PrimeFactorization, euler_phi, factorize, is_prime, sigma
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
 from phisigma.sievelab import _exact_sum
@@ -42,6 +44,30 @@ def test_count_equals_enumeration(m, kind):
 def test_every_preimage_maps_back(m, kind):
     enumerate_, apply = PREIMAGES[kind]
     assert all(apply(x) == m for x in enumerate_(m).solutions)
+
+
+# A target given by its factorization is not factored again: smooth ones,
+# odd ones (no phi-preimage), and configuration-shaped 2**r times 2r
+# distinct primes above 2**r + 1, as a configuration's certifier passes it.
+def _config_shaped(r, primes):
+    f = factorize(1 << r)
+    return PrimeFactorization(f.value * math.prod(primes),
+                              f.factors + tuple((p, 1) for p in sorted(primes)))
+
+
+FACTORED = st.one_of(
+    TARGETS.map(factorize),
+    st.integers(1, 3).flatmap(lambda r: st.lists(
+        st.integers((1 << r) + 2, 3000).filter(is_prime), min_size=2 * r, max_size=2 * r,
+        unique=True).map(lambda primes: _config_shaped(r, primes))),
+)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(FACTORED, KINDS)
+def test_a_factored_target_has_the_preimages_of_its_value(f, kind):
+    enumerate_, _ = PREIMAGES[kind]
+    assert enumerate_(f) == enumerate_(f.value)
 
 
 @SETTINGS
@@ -140,7 +166,10 @@ def test_strike_from_below_the_wheel_primes(start):
 # drawn has base primes in the runs and the one-hit tiers, and from
 # 17 * LOOP_SPLIT points on in the loop as well.  Segments start anywhere
 # in [0, 10**16], below 2**17 (so that they hold base primes themselves),
-# and just either side of p*p for the primes at each tier edge.
+# and just either side of p*p for the primes at each tier edge.  The
+# one-hit tier also steps in chunks of 1000 and 4093 primes, so that a chunk
+# boundary falls inside its 8,700 to 12,200 primes here, and p*p is drawn
+# near for the primes either side of the first boundary too.
 TIER_BASE = _primes(0, 1 << 17, STRIKE)
 
 
@@ -155,22 +184,28 @@ def _loop_strike(start, size):
 @st.composite
 def _tier_segments(draw):
     size = draw(st.integers(1 << 10, 1 << 16))
+    chunk = draw(st.sampled_from((sieves.WIDE_CHUNK, 1000, 4093)))
     edges = []
     for edge in (size // LOOP_SPLIT, size // 2):
         i = int(TIER_BASE.searchsorted(edge, "right"))
         edges += TIER_BASE[i - 1 : i + 1].tolist()  # the last prime at or below it, the next
+    i += chunk  # the first chunk boundary of the one-hit tier, if it has one
+    edges += TIER_BASE[i - 1 : i + 1].tolist()
     near_square = st.builds(lambda p, d: max(p * p + d, 0),
                             st.sampled_from(edges), st.integers(-size, size))
     start = draw(st.one_of(st.integers(0, 10 ** 16), st.integers(0, 1 << 17), near_square))
-    return start, size
+    return start, size, chunk
 
 
 @settings(SETTINGS, max_examples=150)
 @given(_tier_segments())
+@example((8807 ** 2 - 10, 1 << 10, 1000))  # the last primes of the first chunk
+@example((77417 ** 2 - 100, 1 << 16, 4093))
 def test_strike_tiers_against_a_loop_strike(segment):
-    start, size = segment
+    start, size, chunk = segment
     flags = np.empty(size, dtype=bool)
-    _strike(flags, start, TIER_BASE)
+    with mock.patch.object(sieves, "WIDE_CHUNK", chunk):
+        _strike(flags, start, TIER_BASE)
     assert flags.tolist() == _loop_strike(start, size)
 
 
