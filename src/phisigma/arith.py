@@ -79,6 +79,15 @@ _RHO_STEP_BUDGET = 63 << 19
 # target (0.8 kB at 10,368 divisors, 2.3 kB at 28,224, whose phi fill took
 # 12-24 s on a 2-core Xeon).
 DIVISOR_CAPACITY = 1 << 16
+# Most bits of a value that prime_power_sigma_all and prime_power_sigma_solve
+# take, and of the power p**(e+1) that sigma_prime_power builds, checked
+# before any work.  The solvers take one integer root per candidate
+# exponent, so their time grows about as the cube of the bits: 0.17-0.26 s
+# at 4096 bits, 1.5 s at 8192 and 14-16 s at 16384 (one call of each solver
+# on a random value, a power of 10 and a 2**b - 1, 2-core Xeon).  It bounds
+# the roots, not is_prime(d - 1) in prime_power_sigma_all, whose proof of a
+# large prime d - 1 is is_prime's own cost.
+SIGMA_BIT_CAPACITY = 1 << 12
 
 # Deterministic witness sets, each complete below its threshold.
 _MR_TIERS = (
@@ -391,8 +400,18 @@ def _iroot(n: int, k: int) -> int:
 
 def sigma_prime_power(p: int, e: int) -> int:
     """sigma(p**e) = 1 + p + ... + p**e, without checking p for primality."""
-    p, e = exact_int(p, "prime power base", 2), exact_int(e, "exponent", 0)
+    p = exact_int(p, "prime power base", 2)
+    # p**(e+1) has at most (e+1) * bits(p) bits; e = 0 builds nothing past p
+    e = exact_int(e, "exponent", 0, max(SIGMA_BIT_CAPACITY // p.bit_length() - 1, 0))
     return (p ** (e + 1) - 1) // (p - 1)
+
+
+def _sigma_value(d) -> int:
+    """d gated as a sigma value: a positive int of at most SIGMA_BIT_CAPACITY bits."""
+    d = exact_int(d, "sigma value", 1)
+    if d.bit_length() > SIGMA_BIT_CAPACITY:
+        raise CapacityError(f"sigma value {shown(d)} exceeds capacity of {SIGMA_BIT_CAPACITY} bits")
+    return d
 
 
 def _prime_powers_with_sigma(d: int):
@@ -423,8 +442,7 @@ def prime_power_sigma_solve(d: int) -> tuple[int, int] | None:
 
     Returns the representation with the smallest exponent, or None.
     """
-    d = exact_int(d, "sigma value", 1)
-    return next(_prime_powers_with_sigma(d), None)
+    return next(_prime_powers_with_sigma(_sigma_value(d)), None)
 
 
 @lru_cache(maxsize=1 << 16, typed=True)
@@ -433,6 +451,6 @@ def prime_power_sigma_all(d: int) -> tuple[tuple[int, int], ...]:
 
     Representations need not be unique: sigma(5**2) == sigma(2**4) == 31.
     """
-    d = exact_int(d, "sigma value", 1)  # on a cache miss only
+    d = _sigma_value(d)  # on a cache miss only
     first = ((d - 1, 1),) if d >= 3 and is_prime(d - 1) else ()
     return first + tuple(_prime_powers_with_sigma(d))

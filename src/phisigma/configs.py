@@ -124,8 +124,7 @@ class PrimeConfig:
     def factors(self) -> arith.PrimeFactorization:
         """The target's factorization, 2**r * base_m's then each matrix entry
         (all above 2**r * base_m + 1), its divisor count held at each read."""
-        _hold_divisors(self.r, self.n, self.base_m)
-        head = arith.factorize(self.base_m << self.r)
+        head = _hold_divisors(self.r, self.n, self.base_m)
         entries = tuple(sorted((p, 1) for row in self.matrix for p in row))
         return arith.PrimeFactorization(self.target, head.factors + entries)
 
@@ -213,17 +212,20 @@ def check_condition_i(cfg: PrimeConfig) -> ConditionIResult:
     return ConditionIResult(passed, forms, True, None, overlap)
 
 
-def _hold_divisors(r: int, n: int, base_m: int) -> None:
+def _hold_divisors(r: int, n: int, base_m: int) -> arith.PrimeFactorization:
     """Hold the divisor count of the target 2**r * t * base_m of an r x n
-    configuration to arith.DIVISOR_CAPACITY.  The r*n matrix primes are
-    distinct and exceed 2**r * base_m, so the count is 2**(r*n) times the
-    divisor count of 2**r * base_m; 2**(r*n) is formed only below the ceiling."""
+    configuration to arith.DIVISOR_CAPACITY, and return the factorization of
+    2**r * base_m it reads.  The r*n matrix primes are distinct and exceed
+    2**r * base_m, so the count is 2**(r*n) times the divisor count of
+    2**r * base_m; 2**(r*n) is formed only below the ceiling."""
     capacity = arith.DIVISOR_CAPACITY
     if r * n >= capacity.bit_length():
         raise CapacityError(
             f"divisor count at least 2^{shown(r * n)} exceeds capacity {capacity}")
-    rest = prod(e + 1 for _, e in arith.factorize(base_m << r).factors)
+    head = arith.factorize(base_m << r)
+    rest = prod(e + 1 for _, e in head.factors)
     arith.exact_int(rest << (r * n), "divisor count", most=capacity)
+    return head
 
 
 def check_condition_ii(cfg: PrimeConfig) -> ConditionIIResult:

@@ -19,13 +19,11 @@ and counting of one target fill its knapsack once per map.
 multiplicity_table() runs the same knapsack over every m <= B at once, in
 numpy: the multiplicities are the coefficients of a Dirichlet product over
 the primes, one factor (1 + sum of v**-s over the prime's block values v)
-per prime.  The only table it holds is the int64 result: each factor is
-multiplied in place, its sources swept from the top down so that none is
-overwritten before it is read, and below 2**28 the counts accumulate as
-int32 in the first half of the result's bytes and are widened in place at
-the end.  So a table costs about 8 bytes per entry.  It imports numpy when
-it runs, so the per-target paths never load it.  Its capacity is the number
-of entries it holds, for either map.
+per prime.  The only table it holds is its result, int32 counts: each
+factor is multiplied in place, its sources swept from the top down so that
+none is overwritten before it is read.  So a table costs about 4 bytes per
+entry.  It imports numpy when it runs, so the per-target paths never load
+it.  Its capacity is the number of entries it holds, for either map.
 """
 
 from __future__ import annotations
@@ -42,23 +40,19 @@ from .errors import CapacityError, shown
 if TYPE_CHECKING:
     import numpy as np
 
-SCAN_CAPACITY = 2 * 10 ** 8  # most entries a multiplicity table may hold
+# Most entries a multiplicity table may hold.  Its int32 counts are exact
+# while SCAN_CAPACITY <= 2**28: a sigma-preimage x of m <= B is <= B, because
+# sigma(x) >= x; for phi, x/phi(x) < 8 unless x has at least 22 distinct
+# primes, and then phi(x) >= prod_{p<=79} (p-1) ~ 4.0e29.  So x < 8B <= 2**31.
+SCAN_CAPACITY = 2 * 10 ** 8
 ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may build
 DIVISOR_CAPACITY = arith.DIVISOR_CAPACITY  # held by arith.divisors; also importable from here
 _FIRST_CHUNK = 1 << 20  # table entries per step of minimal_m_by_multiplicity
 _FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
-# Below this table bound B the counts accumulate as int32 in the first half
-# of the int64 result's bytes, which halves the memory traffic of the strided
-# adds and leaves the upper half's pages untouched until the table is widened
-# in place.  int32 is exact there: a sigma-preimage x of m <= B is <= B,
-# because sigma(x) >= x; for phi, x/phi(x) < 8 unless x has at least 22
-# distinct primes, and then phi(x) >= prod_{p<=79} (p-1) ~ 4.0e29.  So
-# x < 8B <= 2**31.
-_INT32_BOUND = 2 ** 28
-# Entries below this are read from one copy of at most 16 kB of int32 counts,
-# both as the sources of a prime's sweep and when the table is widened,
-# instead of in halves: halves all the way down took sigma at 1e5 from 1.0 to
-# 2.2 ms (best of 9, 2-core Xeon), one small numpy call per value and half.
+# Entries below this are read from one copy of at most 16 kB of int32 counts
+# as the sources of a prime's sweep, instead of in halves: halves all the way
+# down took sigma at 1e5 from 1.0 to 2.2 ms (best of 9, 2-core Xeon), one
+# small numpy call per value and half.
 _SWEEP_FLOOR = 1 << 12
 
 @dataclass(frozen=True)
@@ -239,7 +233,7 @@ def multiplicity(m: int, map_kind: str) -> int:
 
 
 def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
-    """counts[m] = multiplicity of m, for all 0 <= m <= m_bound, as int64.
+    """counts[m] = multiplicity of m, for all 0 <= m <= m_bound, as int32.
 
     The multiplicities are the coefficients of a Dirichlet product over the
     primes, sum A(m) m**-s = prod_p (1 + sum_a phi(p**a)**-s), and likewise
@@ -259,10 +253,10 @@ def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
       so at most one such prime divides any preimage: each m = v*j gains the
       small-prime count of j.
 
-    The result is the only table held.  Below _INT32_BOUND the counts
-    accumulate as int32 in the first half of its bytes and are then widened
-    in place, from the top down.  The work depends on m_bound only, so
-    SCAN_CAPACITY bounds m_bound, for either map, before any work.
+    The result is the only table held, about 4 B per entry; its int32
+    counts are exact because SCAN_CAPACITY <= 2**28 (the proof is beside
+    it).  The work depends on m_bound only, so SCAN_CAPACITY bounds
+    m_bound, for either map, before any work.
     """
     import numpy as np
 
@@ -270,12 +264,11 @@ def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
 
     arith._check_kind(map_kind)
     m_bound = arith.exact_int(m_bound, "table bound", 1, SCAN_CAPACITY)
-    try:  # calloc: the pages of the upper half stay unmapped until widening
-        out = np.zeros(m_bound + 1, dtype=np.int64)
+    try:
+        counts = np.zeros(m_bound + 1, dtype=np.int32)
     except (ValueError, MemoryError):
         raise CapacityError(
             f"table bound {shown(m_bound)} is past what memory can hold") from None
-    counts = out.view(np.int32)[: m_bound + 1] if m_bound < _INT32_BOUND else out
     counts[1] = 1
     # the table's own capacity check covers this prime table, which is smaller
     primes = _primes(0, m_bound + 1, STRIKE)
@@ -295,18 +288,7 @@ def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
         for j in np.flatnonzero(base).tolist():
             cut = np.searchsorted(values, m_bound // j, side="right")
             counts[values[:cut] * j] += base[j]  # distinct indices for one j
-    del primes, values  # freed before the widening maps the upper half
-    if counts is not out:
-        # int64 entries [lo, hi) fill bytes [8*lo, 8*hi), at or above the
-        # int32 entries [lo, hi) they read, and no entry below lo has been
-        # overwritten yet
-        for lo, hi in _halves(m_bound + 1):
-            out[lo:hi] = counts[lo:hi]
-        # copied first: counts[:k] and out[:k] start at the same byte, an
-        # overlap numpy does not buffer
-        low = counts[:_SWEEP_FLOOR].copy()
-        out[: low.size] = low
-    return out
+    return counts
 
 
 def _halves(top: int):

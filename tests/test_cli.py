@@ -1,6 +1,7 @@
 """Command-line surface: payloads, formats, and the exit-code contract."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -538,6 +539,29 @@ def test_table_k_rows_byte_identical(capsys, monkeypatch, fmt):
         rows.append({"k": k, "minimal_m": hits[0] if hits else None, "scan_bound": 30})
     assert any(row["minimal_m"] is None for row in rows)
     assert out == _old_rows(rows, ["k", "minimal_m", "scan_bound"], fmt)
+
+
+# SHA-256 of the stdout of four table commands, taken while the tables were
+# int64; a numpy scalar reaching the json template or the csv writer would
+# change the bytes
+_TABLE_STREAM_DIGESTS = [
+    (("--map", "sigma", "--bound", "100000"),
+     "bd1aab7c9ae307b4992acafebc832996f4370d4d650a1b5ef3dbb29abdaef839"),
+    (("--map", "sigma", "--bound", "100000", "--format", "csv"),
+     "56b71a00f44547a927b11f08fbf074950b5d7d79e5a4a7a5f55e091fe1ed59e9"),
+    (("--map", "phi", "--k", "1..600", "--bound", "2e6"),
+     "d9c63998f5564064ccd49afb08163438681d0394bd22ad2d0b467f5cd970c5f5"),
+    (("--map", "phi", "--k", "1..600", "--bound", "2e6", "--format", "csv"),
+     "af51ee5ed195e47238099ba82976ef3d77c46efc53ba7cfd38960ab10b862b6d"),
+]
+
+
+@pytest.mark.parametrize("args, digest", _TABLE_STREAM_DIGESTS,
+                         ids=["sigma-json", "sigma-csv", "phi-k-json", "phi-k-csv"])
+def test_table_stream_bytes_are_pinned(capsys, args, digest):
+    code, out, _ = run_main(capsys, "table", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class _PassCounter(np.ndarray):

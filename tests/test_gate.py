@@ -188,6 +188,12 @@ def test_an_integer_past_the_str_digit_limit_is_named_by_its_size():
     for rows in (configs.condition_index_set, configs.enumerate_matchings):
         with pytest.raises(CapacityError, match="^r a number of 16610 bits exceeds capacity 1024$"):
             rows(huge)
+    for solve in (arith.prime_power_sigma_all, arith.prime_power_sigma_solve):
+        with pytest.raises(CapacityError, match="^sigma value a number of 16610 bits exceeds "
+                                                "capacity of 4096 bits$"):
+            solve(huge)
+    with pytest.raises(CapacityError, match="^exponent a number of 16610 bits exceeds capacity 1364$"):
+        arith.sigma_prime_power(5, huge)
 
 
 @pytest.mark.parametrize("name, args, positions", SWEEP, ids=[row[0] for row in SWEEP])

@@ -427,7 +427,7 @@ def _sieved_table(kind, m_bound, x_max=None):
 
 def _assert_table(kind, m_bound, want):
     got = multiplicity_table(kind, m_bound)
-    assert got.dtype == np.int64 and got.shape == (m_bound + 1,), (kind, m_bound)
+    assert got.dtype == np.int32 and got.shape == (m_bound + 1,), (kind, m_bound)
     assert got[0] == 0 and np.array_equal(got, want), (kind, m_bound)
 
 
@@ -460,39 +460,32 @@ def test_table_prefix_property():
 
 
 def test_table_wide_counts_path():
-    # the count width follows m_bound alone (int32 below _INT32_BOUND,
-    # widened to int64; test_table_int64_counts_path runs the int64
-    # accumulation)
+    # the counts are int32 at every bound (exact while SCAN_CAPACITY <= 2**28,
+    # test_scan_capacity_keeps_int32_counts_exact)
     table = multiplicity_table("phi", 40000)
-    assert table.dtype == np.int64 and table.shape == (40001,)
+    assert table.dtype == np.int32 and table.shape == (40001,)
     assert np.array_equal(table[:301], _sieved_table("phi", 300))
     assert np.array_equal(table, multiplicity_table("phi", 10 ** 5)[:40001])
     # and a shorter table is a prefix of it
     assert np.array_equal(multiplicity_table("phi", 30000), table[:30001])
 
 
-def test_table_int64_counts_path(monkeypatch):
-    # below _INT32_BOUND the counts accumulate in int32; lowering it runs the
-    # int64 path, which must give the same tables
-    narrow = {(kind, b): multiplicity_table(kind, b) for kind in ("phi", "sigma")
-              for b in (1, 64, 5000)}
-    monkeypatch.setattr(phisigma.preimages, "_INT32_BOUND", 1)
-    for (kind, b), want in narrow.items():
-        got = multiplicity_table(kind, b)
-        assert got.dtype == np.int64 and np.array_equal(got, want), (kind, b)
+def test_scan_capacity_keeps_int32_counts_exact():
+    # the premise of the proof beside SCAN_CAPACITY: every preimage x of
+    # m <= B is below 8B <= 2**31, so no count of a table overflows int32
+    assert phisigma.preimages.SCAN_CAPACITY <= 2 ** 28
 
 
-# 1 sweeps every prime's sources, and widens the table, in halves all the
-# way down; past every bound each prime reads one copy of its sources and
-# the table is widened from one copy
+# 1 sweeps every prime's sources in halves all the way down; past every
+# bound each prime reads one copy of its sources
 _FLOORS = (1, phisigma.preimages._SWEEP_FLOOR, 1 << 40)
 
 
 @pytest.mark.parametrize("kind, firsts", [("phi", (2, 4, 6)), ("sigma", (4, 6, 8))])
 def test_table_sweep_floors_agree_with_the_sieve(monkeypatch, kind, firsts):
     # A prime sweeps halves once B >= floor * its first block value (p - 1 or
-    # p + 1 for p = 3, 5, 7).  The widening takes no half while B + 1 <= floor,
-    # one up to B + 1 = 2 * floor, and two from there.
+    # p + 1 for p = 3, 5, 7); bounds where the table's own length crosses one
+    # and two floors are inputs too.
     floor = phisigma.preimages._SWEEP_FLOOR
     bounds = sorted({floor * v + d for v in firsts for d in (-1, 0, 1)}
                     | {c * floor + d for c in (1, 2) for d in (-2, -1, 0, 1)})
@@ -506,7 +499,7 @@ def test_table_sweep_floors_agree_with_the_sieve(monkeypatch, kind, firsts):
         monkeypatch.setattr(phisigma.preimages, "_SWEEP_FLOOR", f)
         for b in bounds:
             got = multiplicity_table(kind, b)
-            assert got.dtype == np.int64 and np.array_equal(got, sieved[: b + 1]), (f, b)
+            assert got.dtype == np.int32 and np.array_equal(got, sieved[: b + 1]), (f, b)
             assert np.array_equal(got, want[b]), (f, b)
 
 
@@ -524,7 +517,7 @@ def test_table_bytes_are_pinned_at_a_million(monkeypatch):
         monkeypatch.setattr(phisigma.preimages, "_SWEEP_FLOOR", f)
         for kind, digest in _DIGESTS_AT_A_MILLION.items():
             table = multiplicity_table(kind, 10 ** 6)
-            assert table.dtype == np.int64, (f, kind)
+            assert table.dtype == np.int32, (f, kind)
             assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == digest, (f, kind)
 
 
@@ -544,14 +537,14 @@ print(table.dtype, (peak_kb() - base) * 1024 / table.size)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
-def test_table_holds_one_int64_buffer():
-    # the int64 result is the only table: 8 B per entry plus the primes,
-    # not int32 counts, their int64 copy and a snapshot (about 14 B)
+def test_table_holds_one_int32_buffer():
+    # the int32 result is the only table: 4 B per entry plus the primes, not
+    # an int64 result its counts are widened into (about 9 B)
     proc = subprocess.run([sys.executable, "-c", _RSS_PROBE], capture_output=True,
                           text=True, check=True)
     dtype, per_entry = proc.stdout.split()
-    assert dtype == "int64"
-    assert float(per_entry) <= 10, per_entry
+    assert dtype == "int32"
+    assert float(per_entry) <= 8, per_entry
 
 
 def test_table_past_memory_is_a_capacity_error(monkeypatch):

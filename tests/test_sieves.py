@@ -337,7 +337,7 @@ def test_multiplicity_table_matches_block_bincounts():
         for m_bound in bounds:
             got = multiplicity_table(kind, m_bound)
             want = _table_by_block_bincounts(kind, m_bound)
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             assert np.array_equal(got, want), (kind, m_bound)
 
 
