@@ -182,35 +182,56 @@ def _exact_sum(blocks) -> float:
     float math.fsum returns for the same values, without making a Python float
     of each value.
 
-    Each nonzero value is +-m * 2**e with 2**52 <= m * 2**53 < 2**53
-    (np.frexp), and m * 2**53 splits into a 27-bit and a 26-bit whole half.
-    One bincount per half, binned by exponent, adds halves below 2**27; an
-    array of at most 2**26 values (a value block holds at most SEGMENT =
-    2**22) keeps every bin below 2**53, so float64 adds it exactly.  The bins
-    go into one Python int, scaled by 2**1126 so that subnormals are whole,
+    Every value is a whole multiple of 2**-1074, so each block's sum scaled
+    by 2**1126 is a Python int (_scaled_sum), the blocks' ints add into one,
     and the final int / int division rounds once.  A value that is not
     finite, or a total past the float range, raises OverflowError.
     """
-    import numpy as np
-
     total = 0
     for block in blocks:
-        if not block.size:
-            continue
-        if not np.isfinite(block).all():
-            raise OverflowError("a term is not finite")
-        m, e = np.frexp(block)
-        m *= 2.0 ** 27
-        high = np.floor(m)
-        m -= high
-        m *= 2.0 ** 26  # the low 26 bits, now whole
-        least = int(e.min())
-        bins = e - least
-        highs = np.bincount(bins, weights=high).tolist()
-        lows = np.bincount(bins, weights=m).tolist()
-        for k, (h, l) in enumerate(zip(highs, lows)):
-            total += ((int(h) << 26) + int(l)) << (least + k + 1073)
+        if block.size:
+            total += _scaled_sum(block)
     return total / (1 << 1126)
+
+
+_BAND = 10  # binary exponents that one int64 grid holds
+
+
+def _scaled_sum(values) -> int:
+    """The sum of the values, a nonempty float64 array of at most 2**26
+    entries (a value block holds at most SEGMENT = 2**22), times 2**1126.
+
+    A value v = m * 2**e (np.frexp, 1/2 <= |m| < 1) is a whole multiple of
+    2**(e0 - 53) for every e0 <= e, below 2**62 of them while e - e0 <
+    _BAND.  So positive values whose exponents span less than _BAND, such as
+    the ratio-power terms of beta = 2 in [1, 32), shift onto one int64 grid,
+    whose entries split into halves below 2**31 that np.sum adds exactly.
+    Other values split m * 2**53 into a 27-bit and a 26-bit whole half, and
+    one np.bincount per half, binned by exponent, adds them in float64,
+    exactly, as every bin stays below 2**53."""
+    import numpy as np
+
+    least, most = values.min(), values.max()  # an infinity, or a NaN, shows here
+    if not (math.isfinite(least) and math.isfinite(most)):
+        raise OverflowError("a term is not finite")
+    if least > 0:
+        e0 = math.frexp(least)[1]
+        if math.frexp(most)[1] - e0 < _BAND:
+            grid = np.ldexp(values, 53 - e0).astype(np.int64)
+            total = (int((grid >> 31).sum()) << 31) + int((grid & 0x7FFFFFFF).sum())
+            return total << (e0 + 1073)
+    m, e = np.frexp(values)
+    m *= 2.0 ** 27
+    high = np.floor(m)
+    m -= high
+    m *= 2.0 ** 26  # the low 26 bits, now whole
+    least = int(e.min())
+    bins = e.astype(np.intp)  # the type np.bincount takes, converted once
+    bins -= least
+    highs = np.bincount(bins, weights=high).tolist()
+    lows = np.bincount(bins, weights=m).tolist()
+    return sum(((int(h) << 26) + int(l)) << (least + k + 1073)
+               for k, (h, l) in enumerate(zip(highs, lows)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ range.  Two segment sizes serve two kinds of scan:
   three tiers, by how many of them a segment of n points holds.  Each p up
   to n / LOOP_SPLIT (at least 64 odd multiples) strides by 2p in a Python
   loop.  The primes up to n / 2 lay their strides end to end in one array
-  of indices (np.repeat, then np.cumsum), which one fancy assignment
+  of indices (_runs, built with np.repeat), which one fancy assignment
   strikes.  A prime with 2p longer than the segment hits it at most once,
   so those share one vector step.  Best-of-9 strike times in ms on a
   2-core Xeon, with the loop running up to n / 2 (no middle tier) / n / 16
@@ -63,25 +63,49 @@ range.  Two segment sizes serve two kinds of scan:
   arrays (the values, the smooth part of each point, and for sigma the value
   of the current prime's part).  It touches each entry once per prime power
   dividing it, so it runs in cache-sized blocks of VALUE_BLOCK = 2**17
-  entries (512 KB per int32 array).  On a 2-core Xeon with 2 MB of L2 per
-  core, phi and sigma to 5e6 took 0.18-0.21 s each at that size; 2**18 came
-  within 6%, 2**19 within 10% and 2**16 within 30%.  Far from 0 the
-  per-block loop over the base primes dominates instead (78,498 of them
-  near 10**12), so a block is never shorter than BLOCK_PER_BASE_PRIME
-  entries per base prime, up to SEGMENT entries.
+  entries (512 KB per int32 array).  The kernel takes p = 2 in one dense
+  step, from the lowest set bit of each point, x & -x = 2**j.  The odd base
+  primes up to n / _RUN_SPLIT (n the block's length, so up to 128 in a
+  2**17 block) stride through the block in a Python loop, one strided
+  multiply per power (below).  Every longer prime hits the block at most
+  _RUN_SPLIT = 1024 times, too few to pay for a loop step of its own:
+  those take one vector step (_value_runs).  Their multiples are laid end
+  to end in one array of indices, as the strike's middle tier lays its own
+  (_runs).  One np.multiply.at per work array then applies p**e and
+  v(p**e), e the exponent of p in the point; the hits that p**2 divides are
+  every p-th of a run, so their factors are patched before that, a level
+  per power.  Best of 7 on a 2-core Xeon with 2 MB of L2 per core: phi and
+  sigma to 4.99e6 took 58 and 73 ms (89 and 115 ms with every base prime in
+  the loop).  Splitting at n / 256, n / 512, n / 2048 and n / 4096 took
+  63 / 60 / 59 / 61 ms for phi and 83 / 74 / 71 / 71 ms for sigma.  Blocks
+  of 2**16, 2**18 and 2**19 took 64, 58 and 68 ms for phi and 77, 84 and
+  98 ms for sigma.  Far from 0 nearly every base prime goes through the
+  runs (78,498 of them near 10**12), whose per-prime steps cost each block
+  its share, so a block is never shorter than BLOCK_PER_BASE_PRIME = 8
+  entries per base prime, up to SEGMENT entries.  Best of 5 on 4 * 10**6
+  points at 10**12, with 4 / 8 / 16 / 64 entries per base prime (13 / 7 /
+  4 / 1 blocks): phi took 168 / 148 / 145 / 164 ms and sigma 192 / 189 /
+  204 / 212 ms.  At 10**14 and 10**16 each of these floors gives one
+  block: phi took 192 and 576 ms there, sigma 251 and 642 ms.  With every
+  base prime in the loop, phi took 400, 2,081 and 5,805 ms at the three
+  points and sigma 541, 2,551 and 6,374 ms (best of 2).
 
 Both maps are multiplicative and differ only on prime powers, where each
 takes one Horner step, v(p) = p + a and v(p**(j+1)) = v(p**j) * p + c, with
 (a, c) = (-1, 0) for phi and (1, 1) for sigma (arith._PRIME_POWER_RULE).
-The kernel's per-prime work runs on strided views (x[off::p]) only, and only
+The loop's per-prime work runs on strided views (x[off::p]) only, and only
 multiplies: a strided int32 multiply costs about 0.6 ns per entry, a
 strided division 2.6 ns (numpy's fast division by a scalar needs a dense
 array).  So the kernel multiplies up the smooth part, the product of the
-base-prime powers dividing x, and divides x by it once, densely, at the end;
-for phi, v(p) = p - 1 and the step c = 0 go straight into the values.
-What is left of x is its one prime factor q above sqrt(x), or 1, so one
-dense step adds a where it exceeds 1 and multiplies it in: a boolean
-gather and scatter through a mask would take 35-45% of a block.
+base-prime powers dividing x, and divides x by it once, densely, at the
+end; for phi, v(p) = p - 1 and the step c = 0 go straight into the values.
+An int32 block divides in float64, exact there (x < 2**31, and the
+quotient is whole): on a 2**17 block that and the cast back took 0.18 ms,
+numpy's integer division 0.25 ms.  What is left of x is its one prime
+factor q above sqrt(x), or 1, so one dense step adds a where it exceeds 1
+and multiplies it in: a boolean gather and scatter through a mask would
+take 35-45% of a block.  x = 0 never enters the work arrays (x & -x would
+be 0 there, and x / sm 0 / 0); its value is 0.
 
 No intermediate exceeds max(sigma(x), x + 1): the smooth part divides x.
 Points stay below MAX_SIEVE_POINT = 4e16, where Robin's unconditional bound
@@ -108,7 +132,8 @@ LOOP_SPLIT = 128  # base primes up to segment / LOOP_SPLIT stride one by one (se
 RUN_FLOOR = 64  # fewest base primes that strike through one index array (see above)
 WIDE_CHUNK = 1 << 17  # one-hit base primes per vector step (see above)
 VALUE_BLOCK = 1 << 17  # value block, sized for L2
-BLOCK_PER_BASE_PRIME = 64  # value block floor, per base prime
+BLOCK_PER_BASE_PRIME = 8  # value block floor, per base prime
+_RUN_SPLIT = 1024  # value-block base primes above block / _RUN_SPLIT go through runs
 DEFAULT_SPAN_CAPACITY = 2 * 10 ** 8
 MAX_SIEVE_POINT = DEFAULT_SPAN_CAPACITY ** 2  # keeps base-prime sieves below the span cap
 
@@ -168,21 +193,26 @@ def _first_offsets(primes: np.ndarray, start: int) -> np.ndarray:
 
 def _strike_runs(flags: np.ndarray, start: int, primes: np.ndarray) -> None:
     """Clear the odd multiples of primes in the segment, as _strike's loop
-    would, in one vector step: the strides of all the primes, run after run,
-    are the steps of one cumulative sum of indices, each run's first step
-    jumping from the last index of the run before.  The steps are int32, as
-    no index or jump reaches the segment's size (at most
-    DEFAULT_SPAN_CAPACITY < 2**31), which halves the array of indices; its
-    length is the primes' count of odd multiples in the segment."""
+    would, in one vector step through one array of indices (_runs)."""
     n = flags.size
     first = _first_offsets(primes, start)
     hits = first < n
     first, step = first[hits], 2 * primes[hits]
-    count = (n - 1 - first) // step + 1
-    idx = np.repeat(step.astype(np.int32), count)
-    first[1:] -= first[:-1] + step[:-1] * (count[:-1] - 1)
-    idx[np.cumsum(count) - count] = first
-    flags[np.cumsum(idx, out=idx)] = False
+    flags[_runs(first, step, (n - 1 - first) // step + 1)] = False
+
+
+def _runs(first: np.ndarray, step: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The runs first[i] + step[i] * t (0 <= t < count[i]) laid end to end in
+    one int32 array: np.repeat lays each run's first, step and start in the
+    array alongside its entries, and the entry at place j of the array is
+    first + step * (j - start).  int32 holds every term, as each entry
+    first + step * t, and so step * t, stays below the callers' segment or
+    block size (at most DEFAULT_SPAN_CAPACITY < 2**31)."""
+    idx = np.arange(int(count.sum()), dtype=np.int32)
+    idx -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
+    idx *= np.repeat(step.astype(np.int32), count)
+    idx += np.repeat(first.astype(np.int32), count)
+    return idx
 
 
 # Every base list is a prefix of one list of the primes up to a bound, seeded
@@ -310,29 +340,36 @@ def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
     set to 0.  base holds the primes up to the root of the last point.
 
     sm collects the smooth part of each point, the product of the base-prime
-    powers p**j dividing it, with one strided multiply per power; the values
-    take phi's p - 1 and p per power directly, or sigma's Horner value of
-    the p-part from fac.  One dense x // sm then gives the cofactor."""
+    powers p**j dividing it, and val the product of their values v(p**j):
+    p = 2 in one dense step, the primes up to n / _RUN_SPLIT in a strided
+    loop, the rest through _value_runs.  One dense x / sm then gives the
+    cofactor."""
     a, c = _PRIME_POWER_RULE[kind]
-    n = stop - start
+    lo = max(start, 1)  # x = 0 stays out of the work arrays (phi(0) = sigma(0) = 0)
+    n = stop - lo
     # sm is the base-prime part of x, a divisor of x, so sm <= x < stop; fac
     # is v(p**j) or p * v(p**(j-1)) <= v(p**j), and val is v(d) for a
     # divisor d of x, so no intermediate exceeds max(sigma(x), stop) < 7 *
     # stop (Robin's bound, in the module docstring): int32 cannot overflow
     # while 7 * stop < 2**31.
     dtype = np.int32 if 7 * stop < 2 ** 31 else np.int64
-    val = np.ones(n, dtype=dtype)
-    sm = np.ones(n, dtype=dtype)
+    x = np.arange(lo, stop, dtype=dtype)
+    sm = -x
+    sm &= x  # 2**j, the lowest set bit of x
     if c:
+        val = sm << 1
+        val -= 1  # sigma(2**j) = 2**(j+1) - 1
+    else:
+        val = sm + 1
+        val >>= 1  # phi(2**j) = 2**(j-1), and 1 at j = 0
+    top = int(base.searchsorted(math.isqrt(stop - 1), "right"))  # p * p < stop
+    mid = min(top, max(1, int(base.searchsorted(n // _RUN_SPLIT, "right"))))
+    if c and mid > 1:
         fac = np.empty(n, dtype=dtype)  # sigma of the p-part, on the multiples of p
-    for p in base.tolist():
-        if p * p >= stop:
-            break
-        # start every stride at its modulus so the x = 0 entry is never touched
-        first = max(p, (start + p - 1) // p * p)
-        if first >= stop:
+    for p in base[1:mid].tolist():
+        off = -lo % p
+        if off >= n:
             continue
-        off = first - start
         sm[off::p] *= p
         if c:
             fac[off::p] = p + a
@@ -340,29 +377,79 @@ def _block(kind: str, start: int, stop: int, base: np.ndarray) -> np.ndarray:
             val[off::p] *= p + a
         pe = p * p
         while pe < stop:
-            fs = max(pe, (start + pe - 1) // pe * pe)
-            if fs < stop:
-                sm[fs - start :: pe] *= p
+            fs = -lo % pe
+            if fs < n:
+                sm[fs::pe] *= p
                 if c:
-                    view = fac[fs - start :: pe]
+                    view = fac[fs::pe]
                     view *= p  # Horner: v(p**j) = p * v(p**(j-1)) + c
                     view += c
                 else:  # c = 0: v(p**j) = p * v(p**(j-1))
-                    val[fs - start :: pe] *= p
+                    val[fs::pe] *= p
             pe *= p
         if c:
             val[off::p] *= fac[off::p]
-    # what is left of x is its one prime factor q above sqrt(x), or 1 (0 at
-    # x = 0): one dense division, then v(q) = q + a (a is +1 or -1) in one
-    # dense step, not through a mask
-    rem = np.arange(start, stop, dtype=dtype)
-    rem //= sm
+    for i in range(mid, top, WIDE_CHUNK):
+        _value_runs(sm, val, lo, base[i : min(i + WIDE_CHUNK, top)], a, c)
+    # what is left of x is its one prime factor q above sqrt(x), or 1: one
+    # dense division, then v(q) = q + a (a is +1 or -1) in one dense step,
+    # not through a mask.  For int32 blocks a float64 division is exact (x <
+    # 2**31 and the quotient is whole), and faster than numpy's integer one.
+    if dtype is np.int32:
+        rem = (x / sm).astype(dtype)
+    else:
+        rem = x
+        rem //= sm
     if a > 0:
         rem += rem > 1
     else:
         rem -= rem > 1
     val *= rem
+    if lo > start:
+        val = np.concatenate(([0], val))
     return val.astype(np.int64, copy=False)
+
+
+def _value_runs(sm: np.ndarray, val: np.ndarray, lo: int, primes: np.ndarray,
+                a: int, c: int) -> None:
+    """Multiply into sm and val, the work arrays of the points [lo, lo +
+    sm.size) (lo >= 1), the p-part p**e of each point and its value v(p**e),
+    for the base primes `primes`, in one vector step.
+
+    The multiples of all the primes are one array of indices (_runs), with
+    p and v(p) = p + a laid alongside.  A hit x = k * p of a run is a
+    multiple of p**j (j >= 2) when p**(j-1) divides k, so those hits are
+    every p**(j-1)-th entry of the run, runs again over the positions in
+    the index array: each level multiplies their factors by p, and their
+    values by one Horner step, v(p**j) = p * v(p**(j-1)) + c.  Then one
+    np.multiply.at per work array applies the factors; it multiplies
+    repeated indices (a point on two runs) once per run."""
+    n = sm.size
+    first = -lo % primes
+    hits = first < n
+    primes, first = primes[hits], first[hits]
+    count = (n - 1 - first) // primes + 1
+    idx = _runs(first, primes, count)
+    sm_fac = np.repeat(primes.astype(sm.dtype), count)
+    val_fac = sm_fac + a
+    k = (lo + first) // primes  # the first hit of each run is k * p
+    at = np.cumsum(count) - count  # where each run starts in idx
+    last = lo + n - 1
+    pe = primes  # p**(j-1) at level j = 2, 3, ..., while p**j <= last, as in the loop
+    while True:
+        off = -k % pe  # the run's first hit that p**j divides
+        deep = (off < count) & (pe <= last // primes)
+        if not deep.any():
+            break
+        primes, pe, k, at, count, off = (v[deep] for v in (primes, pe, k, at, count, off))
+        deep_count = (count - 1 - off) // pe + 1
+        pos = _runs(at + off, pe, deep_count)
+        p = np.repeat(primes.astype(sm.dtype), deep_count)
+        sm_fac[pos] *= p
+        val_fac[pos] = val_fac[pos] * p + c
+        pe = pe * primes
+    np.multiply.at(sm, idx, sm_fac)
+    np.multiply.at(val, idx, val_fac)
 
 
 def _iter_blocks(kind: str, lo: int, hi: int,
@@ -372,7 +459,7 @@ def _iter_blocks(kind: str, lo: int, hi: int,
     if hi < lo:
         raise DomainError(f"bad block range [{shown(lo)}, {shown(hi)}]")
     if block is not None:
-        block = exact_int(block, "block size", 1)
+        block = exact_int(block, "block size", 1, SEGMENT)
     base = _base_primes(hi)
     if block is None:
         block = min(SEGMENT, max(VALUE_BLOCK, BLOCK_PER_BASE_PRIME * base.size))
@@ -385,8 +472,18 @@ def iter_phi_blocks(hi: int, lo: int = 1,
                     block: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, values) blocks covering phi on [lo, hi].
 
-    Blocks hold `block` entries (the last may hold fewer); by default
-    VALUE_BLOCK, or more far from 0 (see the module docstring).
+    Blocks hold `block` entries, at most SEGMENT (the last may hold fewer);
+    by default VALUE_BLOCK, or more far from 0 (see the module docstring).
+
+    >>> [(start, values.tolist()) for start, values in iter_phi_blocks(10)]
+    [(1, [1, 1, 2, 2, 4, 2, 6, 4, 6, 4])]
+
+    Below, 10**12 = 2**12 * 5**12, then 73 * 137 * 99990001 and 2 * 3 *
+    166666666667: in blocks this short every odd base prime goes through
+    the runs, 5 to its twelfth power.
+
+    >>> [values.tolist() for _, values in iter_phi_blocks(10**12 + 2, lo=10**12)]
+    [[400000000000, 979102080000, 333333333332]]
     """
     return _iter_blocks("phi", lo, hi, block)
 

@@ -142,6 +142,8 @@ CEILINGS = [
     ("phi_table", lambda v: sieves.phi_table(v), "table bound", SPAN, "primes_upto", False),
     ("iter_phi_blocks", lambda v: sieves.iter_phi_blocks(v, v), "block range end", POINT,
      "primes_upto", True),
+    ("iter_phi_blocks_block", lambda v: sieves.iter_phi_blocks(100, 1, v), "block size",
+     sieves.SEGMENT, "_base_primes", True),
     ("count_shifted_almost_primes",
      lambda v: sievelab.count_shifted_almost_primes(v, Fraction(1, 8), 1), "x", SPAN,
      "_base_primes", True),

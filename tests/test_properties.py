@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phisigma import sieves
-from phisigma.arith import PrimeFactorization, euler_phi, factorize, is_prime, sigma
+from phisigma.arith import (_PRIME_POWER_RULE, PrimeFactorization, euler_phi, factorize, is_prime,
+                            sigma)
 from phisigma.preimages import (multiplicity, multiplicity_table, phi_preimages,
                                 sigma_preimages)
-from phisigma.sievelab import _exact_sum
+from phisigma.sievelab import _BAND, _exact_sum
 from phisigma.sieves import (BASE_MEMO_ROOT, LOOP_SPLIT, STRIKE, _PERIOD, _base_primes, _block,
                              _primes, _segments, _strike)
 
@@ -93,14 +94,29 @@ def test_factorize_multiplies_back(n):
 
 # floats >= 1 over many binades, powers of two and their neighbours, and
 # pairs whose sum is a tie halfway between two floats (2**(k+53) + 2**k
-# rounds down to even, 2**(k+53) + 2**(k+1) + 2**k up)
+# rounds down to even, 2**(k+53) + 2**(k+1) + 2**k up); then runs for the
+# exponent bands of _exact_sum's int64 grid: inside one band (some
+# negated, which the grid does not take), across several, and on a band's
+# edges (2**k, the last float below 2**(k+_BAND), and 2**(k+_BAND))
 BINADES = st.integers(0, 960)
+
+
+def _floats_in(lo, hi):
+    """Floats in [2**lo, 2**(hi+1))."""
+    return st.builds(math.ldexp, st.floats(1, 2, exclude_max=True), st.integers(lo, hi))
+
+
 TERMS = st.one_of(
     st.builds(math.ldexp, st.floats(1, 2, exclude_max=True), BINADES).map(lambda v: [v]),
     BINADES.map(lambda k: [2.0 ** k, math.nextafter(2.0 ** k, math.inf),
                            max(1.0, math.nextafter(2.0 ** k, 0))]),
     BINADES.map(lambda k: [2.0 ** (k + 53), 2.0 ** k]),
     BINADES.map(lambda k: [2.0 ** (k + 53) + 2.0 ** (k + 1), 2.0 ** k]),
+    st.tuples(BINADES.flatmap(lambda k: st.lists(_floats_in(k, k + _BAND - 1), min_size=1,
+                                                 max_size=40)),
+              st.booleans()).map(lambda run: [-v for v in run[0]] if run[1] else run[0]),
+    BINADES.flatmap(lambda k: st.lists(_floats_in(k, k + 4 * _BAND), min_size=2, max_size=40)),
+    BINADES.map(lambda k: [2.0 ** k, math.nextafter(2.0 ** (k + _BAND), 0), 2.0 ** (k + _BAND)]),
 )
 
 
@@ -298,3 +314,55 @@ def test_value_block_against_pointwise(window, kind):
     got = _block(kind, start, stop, _base_primes(stop - 1))
     assert got.dtype == np.int64
     assert got.tolist() == [ref(x) if x else 0 for x in range(start, stop)]
+
+
+def _loop_block(kind, start, stop, base):
+    """The value kernel with one strided loop over every base prime and its
+    powers, and one dense integer division."""
+    a, c = _PRIME_POWER_RULE[kind]
+    n = stop - start
+    dtype = np.int32 if 7 * stop < 2 ** 31 else np.int64
+    val = np.ones(n, dtype=dtype)
+    sm = np.ones(n, dtype=dtype)
+    fac = np.empty(n, dtype=dtype)
+    base = base[(base * base < stop) & (-start % base < n)]  # the primes that divide a point
+    for p in base.tolist():
+        first = max(p, (start + p - 1) // p * p)  # x = 0 is never touched
+        if first >= stop:
+            continue
+        off = first - start
+        sm[off::p] *= p
+        fac[off::p] = p + a
+        pe = p * p
+        while pe < stop:
+            fs = max(pe, (start + pe - 1) // pe * pe)
+            if fs < stop:
+                sm[fs - start :: pe] *= p
+                fac[fs - start :: pe] *= p
+                fac[fs - start :: pe] += c
+            pe *= p
+        val[off::p] *= fac[off::p]
+    rem = np.arange(start, stop, dtype=dtype)
+    rem //= sm
+    rem += a * (rem > 1)
+    val *= rem
+    return val.astype(np.int64)
+
+
+# Full-size blocks against _loop_block: from 0, the one that holds 4.99e6
+# (iter_phi_blocks(4.99e6) reads it), int32 work arrays up to INT32_STOP and
+# int64 across it, and 4e6 points near 10**12 and 10**16, where every base
+# prime but the first few hundred goes through the runs.  A 0/0 at x = 0
+# raises.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start, stop", [
+    (0, 1 << 17), (1 + 38 * (1 << 17), 1 + 39 * (1 << 17)),
+    (INT32_STOP - (1 << 17), INT32_STOP), (INT32_STOP - (1 << 16), INT32_STOP + (1 << 16)),
+    (10 ** 12, 10 ** 12 + 4 * 10 ** 6), (10 ** 16, 10 ** 16 + 4 * 10 ** 6),
+])
+@pytest.mark.parametrize("kind", ["phi", "sigma"])
+def test_value_block_against_a_loop_kernel(kind, start, stop):
+    base = _base_primes(stop - 1)
+    got = _block(kind, start, stop, base)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _loop_block(kind, start, stop, base))

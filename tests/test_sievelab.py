@@ -157,6 +157,20 @@ def test_ratio_power_sum_against_table():
         assert rep.sum == pytest.approx(want, rel=1e-12)
 
 
+# The sums of earlier releases, bit for bit: one exponent band (beta = 0.5 and
+# 2) and several (beta = 8 and 64) in the exact sum, over the value kernel's
+# loop and run tiers.
+@pytest.mark.parametrize("beta, x, want", [
+    (0.5, 10 ** 5, "0x1.0a9fd9b3ae444p+17"),
+    (2.0, 10 ** 5, "0x1.b0a933061b3c2p+18"),
+    (8.0, 10 ** 5, "0x1.9ec3e3ad40e3ep+28"),
+    (64.0, 10 ** 5, "0x1.b4b4a83be7fb2p+154"),
+    (2.0, 10 ** 6, "0x1.0e724b68d82b1p+22"),
+])
+def test_ratio_power_sum_is_pinned(beta, x, want):
+    assert ratio_power_sum(beta, x).sum.hex() == want
+
+
 def test_ratio_power_sum_bounds_shape():
     rep = ratio_power_sum(1.0, 1000, prime_cutoff=10 ** 4)
     assert rep.tail_factor_bound >= 1.0
