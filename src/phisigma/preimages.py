@@ -20,10 +20,12 @@ multiplicity_table() runs the same knapsack over every m <= B at once, in
 numpy: the multiplicities are the coefficients of a Dirichlet product over
 the primes, one factor (1 + sum of v**-s over the prime's block values v)
 per prime.  The only table it holds is its result, int32 counts: each
-factor is multiplied in place, its sources swept from the top down so that
-none is overwritten before it is read.  So a table costs about 4 bytes per
-entry.  It imports numpy when it runs, so the per-target paths never load
-it.  Its capacity is the number of entries it holds, for either map.
+factor is multiplied in place from the prime's live sources, the entries
+whose count is already nonzero, all read before the first write, so that
+no count the prime adds is read again by it.  So a table costs about 4
+bytes per entry, and one prime's sources at most 1 more.  It imports numpy
+when it runs, so the per-target paths never load it.  Its capacity is the
+number of entries it holds, for either map.
 """
 
 from __future__ import annotations
@@ -49,11 +51,6 @@ ENUM_CAPACITY = 10 ** 7  # most solutions a single preimage enumeration may buil
 DIVISOR_CAPACITY = arith.DIVISOR_CAPACITY  # held by arith.divisors; also importable from here
 _FIRST_CHUNK = 1 << 20  # table entries per step of minimal_m_by_multiplicity
 _FIRST_BOUND = 64  # first table bound of minimal_m_with_multiplicity
-# Entries below this are read from one copy of at most 16 kB of int32 counts
-# as the sources of a prime's sweep, instead of in halves: halves all the way
-# down took sigma at 1e5 from 1.0 to 2.2 ms (best of 9, 2-core Xeon), one
-# small numpy call per value and half.
-_SWEEP_FLOOR = 1 << 12
 
 @dataclass(frozen=True)
 class PreimageSet:
@@ -244,11 +241,14 @@ def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
       of its block values (phi's value 1 makes counts[1] = 2).
     - A later prime p <= isqrt(m_bound) + 1 adds counts[j] to counts[v*j]
       for each of its block values v <= m_bound ((p-1)*p**(a-1), or
-      sigma(p**b)), so a preimage uses at most one block of p.  Every v is
-      at least 2, so the sources j are swept downward in halves [lo, hi)
-      with hi <= 2*lo: a half writes only at 2*lo or above, where every
-      source has been read, and the sources below _SWEEP_FLOOR are read
-      from one small copy.
+      sigma(p**b)).  It reads only its live sources, the j <= m_bound // v
+      for its least v with counts[j] != 0, and their counts, all before its
+      first write: so every add reads a count without p, and a preimage
+      uses at most one block of p.  Then one fancy add per value v writes the
+      sources up to m_bound // v, at distinct indices v*j.  Few sources are
+      live: at 5e6, a strided sweep of every source would read 9.2 million
+      counts for sigma and 12.3 million for phi, of which 4.1% and 2.4% are
+      nonzero.
     - A larger prime has the single value p-1 or p+1, above sqrt(m_bound),
       so at most one such prime divides any preimage: each m = v*j gains the
       small-prime count of j.
@@ -276,10 +276,13 @@ def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
     counts[_small_prime_values(2, map_kind, m_bound)] += 1  # values are distinct
     for p in primes[1:split].tolist():
         values = _small_prime_values(p, map_kind, m_bound)
-        top = m_bound // values[0] + 1  # sources j < top; p - 1 and p + 1 <= m_bound
-        for lo, hi in _halves(top):  # a half writes at 2*lo >= hi or above
-            _add_sources(counts, values, lo, counts[lo:hi])
-        _add_sources(counts, values, 1, counts[1 : min(top, _SWEEP_FLOOR)].copy())
+        # the live sources j <= m_bound // v for the least value v (p - 1 or
+        # p + 1 <= m_bound), and their counts, read before any write
+        src = np.flatnonzero(counts[: m_bound // values[0] + 1] != 0)
+        got = counts[src]
+        for v in values:
+            cut = int(src.searchsorted(m_bound // v, "right"))
+            counts[src[:cut] * v] += got[:cut]  # distinct indices for one v
     values = primes[split:] + arith._PRIME_POWER_RULE[map_kind][0]
     values = values[: np.searchsorted(values, m_bound, side="right")]
     if values.size:
@@ -289,26 +292,6 @@ def multiplicity_table(map_kind: str, m_bound: int) -> np.ndarray:
             cut = np.searchsorted(values, m_bound // j, side="right")
             counts[values[:cut] * j] += base[j]  # distinct indices for one j
     return counts
-
-
-def _halves(top: int):
-    """Ranges [lo, hi) with hi <= 2*lo that cover [_SWEEP_FLOOR, top), from the top down."""
-    hi = top
-    while hi > _SWEEP_FLOOR:
-        lo = max((hi + 1) // 2, _SWEEP_FLOOR)
-        yield lo, hi
-        hi = lo
-
-
-def _add_sources(counts: np.ndarray, values: list[int], lo: int, sources: np.ndarray) -> None:
-    """counts[v*j] += sources[j - lo] for each value v and source j >= lo with
-    v*j inside counts; sources must not overlap the targets."""
-    top = counts.size - 1
-    for v in values:
-        n = min(sources.size, top // v + 1 - lo)
-        if n <= 0:
-            break  # values ascend, so no later one reaches a source either
-        counts[v * lo : v * (lo + n - 1) + 1 : v] += sources[:n]
 
 
 def _small_prime_values(p: int, map_kind: str, m_bound: int) -> list[int]:

@@ -249,10 +249,19 @@ class RatioSumReport:
 def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSumReport:
     """Sum the ratio powers by batch phi, exactly and then correctly rounded
     (the float math.fsum gives for the same terms); compute the truncated
-    product over primes <= prime_cutoff and a rigorous tail factor."""
+    product over primes <= prime_cutoff and a rigorous tail factor.
+
+    phi runs over the odd m <= x only (_ratio_terms).  An even n = 2**k * m
+    (m odd, k >= 1) has n / phi(n) = 2m / phi(m), and that float is exactly
+    twice the float m / phi(m): n and phi(n) are whole and below 2**53, so
+    each division rounds its real quotient once, and doubling a float is
+    exact.  So the term of every such n is the same float (2.0 * y) ** beta
+    for y = m / phi(m), summed once for each k with m <= x >> k.  It is
+    formed only for 2m <= x: for a larger m it is the term of no n <= x,
+    and it may overflow where every term of the sum is finite."""
     import numpy as np
 
-    from .sieves import DEFAULT_SPAN_CAPACITY, iter_phi_blocks, primes_upto
+    from .sieves import DEFAULT_SPAN_CAPACITY, primes_upto
 
     if isinstance(beta, bool) or not isinstance(beta, (int, float)):
         raise DomainError(f"beta must be an int or a float, got {beta!r}")
@@ -271,11 +280,8 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
         tail_factor_bound = math.exp(beta * math.exp(beta / prime_cutoff) / prime_cutoff)
         if not (math.isfinite(c_beta) and math.isfinite(tail_factor_bound)):
             raise OverflowError
-        terms = ((np.arange(start, start + vals.size, dtype=np.float64)
-                  / vals.astype(np.float64)) ** beta
-                 for start, vals in iter_phi_blocks(x))
         with np.errstate(over="ignore"):  # an infinite term makes the sum overflow
-            total = _exact_sum(terms)
+            total = _exact_sum(_ratio_terms(beta, x))
     except OverflowError as exc:
         raise DomainError(f"beta = {beta} is too large: c_beta, its tail factor "
                           f"or the sum is not a finite float") from exc
@@ -287,3 +293,23 @@ def ratio_power_sum(beta: float, x: int, prime_cutoff: int = 10 ** 5) -> RatioSu
         prime_cutoff=prime_cutoff,
         tail_factor_bound=tail_factor_bound,
     )
+
+
+def _ratio_terms(beta: float, x: int):
+    """Float64 arrays that hold the terms (n / phi(n))**beta for n <= x, each
+    once, from phi on the odd m <= x alone (see ratio_power_sum): a block's
+    odd terms, then the even terms of its m <= x // 2 as one array u, whose
+    prefix of the m <= x >> k holds the terms of the n = 2**k * m."""
+    import numpy as np
+
+    from .sieves import _iter_blocks
+
+    for start, vals in _iter_blocks("phi", 1, x, None, 2):
+        y = np.arange(start, start + 2 * vals.size, 2, dtype=np.float64) / vals.astype(np.float64)
+        yield y ** beta
+        top = x >> 1  # x >> k: n = 2**k * m <= x (m odd) for m <= x >> k
+        if start <= top:
+            u = (2.0 * y[: (top - start) // 2 + 1]) ** beta
+            while start <= top:
+                yield u[: (top - start) // 2 + 1]
+                top >>= 1

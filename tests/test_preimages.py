@@ -476,17 +476,12 @@ def test_scan_capacity_keeps_int32_counts_exact():
     assert phisigma.preimages.SCAN_CAPACITY <= 2 ** 28
 
 
-# 1 sweeps every prime's sources in halves all the way down; past every
-# bound each prime reads one copy of its sources
-_FLOORS = (1, phisigma.preimages._SWEEP_FLOOR, 1 << 40)
-
-
 @pytest.mark.parametrize("kind, firsts", [("phi", (2, 4, 6)), ("sigma", (4, 6, 8))])
-def test_table_sweep_floors_agree_with_the_sieve(monkeypatch, kind, firsts):
-    # A prime sweeps halves once B >= floor * its first block value (p - 1 or
-    # p + 1 for p = 3, 5, 7); bounds where the table's own length crosses one
-    # and two floors are inputs too.
-    floor = phisigma.preimages._SWEEP_FLOOR
+def test_table_sweep_floors_agree_with_the_sieve(kind, firsts):
+    # Bounds near 4096 times the first block value (p - 1 or p + 1 for p =
+    # 3, 5, 7), and near one and two times 4096, where an earlier fill
+    # switched between two ways of reading a prime's sources.
+    floor = 1 << 12
     bounds = sorted({floor * v + d for v in firsts for d in (-1, 0, 1)}
                     | {c * floor + d for c in (1, 2) for d in (-2, -1, 0, 1)})
     # below 92160 = prod_{p <= 17} (p - 1), a phi preimage has at most six
@@ -494,13 +489,9 @@ def test_table_sweep_floors_agree_with_the_sieve(monkeypatch, kind, firsts):
     top = bounds[-1]
     assert top < 92160
     sieved = _sieved_table(kind, top, 6 * top if kind == "phi" else None)
-    want = {b: multiplicity_table(kind, b) for b in bounds}
-    for f in _FLOORS:
-        monkeypatch.setattr(phisigma.preimages, "_SWEEP_FLOOR", f)
-        for b in bounds:
-            got = multiplicity_table(kind, b)
-            assert got.dtype == np.int32 and np.array_equal(got, sieved[: b + 1]), (f, b)
-            assert np.array_equal(got, want[b]), (f, b)
+    for b in bounds:
+        got = multiplicity_table(kind, b)
+        assert got.dtype == np.int32 and np.array_equal(got, sieved[: b + 1]), b
 
 
 # SHA-256 of the little-endian int64 bytes of both tables at 10**6, taken
@@ -512,13 +503,11 @@ _DIGESTS_AT_A_MILLION = {
 }
 
 
-def test_table_bytes_are_pinned_at_a_million(monkeypatch):
-    for f in _FLOORS:
-        monkeypatch.setattr(phisigma.preimages, "_SWEEP_FLOOR", f)
-        for kind, digest in _DIGESTS_AT_A_MILLION.items():
-            table = multiplicity_table(kind, 10 ** 6)
-            assert table.dtype == np.int32, (f, kind)
-            assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == digest, (f, kind)
+def test_table_bytes_are_pinned_at_a_million():
+    for kind, digest in _DIGESTS_AT_A_MILLION.items():
+        table = multiplicity_table(kind, 10 ** 6)
+        assert table.dtype == np.int32, kind
+        assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == digest, kind
 
 
 # A child's ru_maxrss starts from its parent's resident size at the fork

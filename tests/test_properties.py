@@ -366,3 +366,40 @@ def test_value_block_against_a_loop_kernel(kind, start, stop):
     got = _block(kind, start, stop, base)
     assert got.dtype == np.int64
     assert np.array_equal(got, _loop_block(kind, start, stop, base))
+
+
+# The step-2 kernel (the odd points of a range, as ratio_power_sum reads them)
+# against every other entry of _loop_block, on odd-start versions of the
+# windows above, each a full block of 2**17 entries near 0: from 1, the one
+# that holds 4.99e6 (ratio_power_sum(2.0, 4.99e6) reads it), int32 work
+# arrays up to INT32_STOP and int64 across it; and 2 * 10**6 odd points near
+# 10**12 and 10**16, through the run tier and its deep powers.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start, stop", [
+    (1, 1 + (1 << 18)), (1 + 19 * (1 << 18), 1 + 20 * (1 << 18)),
+    (INT32_STOP - (1 << 18) + 1, INT32_STOP), (INT32_STOP - (1 << 17) + 1, INT32_STOP + (1 << 17)),
+    (10 ** 12 + 1, 10 ** 12 + 1 + 4 * 10 ** 6), (10 ** 16 + 1, 10 ** 16 + 1 + 4 * 10 ** 6),
+])
+@pytest.mark.parametrize("kind", ["phi", "sigma"])
+def test_step_two_block_against_a_loop_kernel(kind, start, stop):
+    base = _base_primes(stop - 1)
+    got = _block(kind, start, stop, base, 2)
+    assert got.dtype == np.int64 and got.size == (stop - start + 1) // 2
+    assert np.array_equal(got, _loop_block(kind, start, stop, base)[::2])
+
+
+@SETTINGS
+@given(BLOCK_WINDOWS.map(lambda w: (w[0] | 1, max(w[1], (w[0] | 1) + 1))), KINDS)
+@example((10 ** 16 - 39, 10 ** 16 + 1), "phi")  # base primes up to 10**8
+@example((10 ** 16 - 39, 10 ** 16 + 1), "sigma")
+# in windows this short every odd base prime goes through the runs: 3 to its
+# 34th power, and 100003 to its third
+@example((3 ** 34 - 20, 3 ** 34 + 21), "phi")
+@example((3 ** 34 - 20, 3 ** 34 + 21), "sigma")
+@example((9 * 100003 ** 3 - 20, 9 * 100003 ** 3 + 21), "sigma")
+def test_step_two_block_against_pointwise(window, kind):
+    start, stop = window
+    ref = euler_phi if kind == "phi" else sigma
+    got = _block(kind, start, stop, _base_primes(stop - 1), 2)
+    assert got.dtype == np.int64
+    assert got.tolist() == [ref(x) for x in range(start, stop, 2)]

@@ -228,11 +228,31 @@ def test_ratio_power_sum_rejects_finite_terms_past_the_float_range(monkeypatch):
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
 def test_ratio_power_sum_is_one_fsum_of_the_terms(beta):
     # The same float expression on one dense array: numpy's elementwise
-    # results do not depend on how the range is cut into blocks.
-    x = 300000
-    ks = np.arange(1, x + 1, dtype=np.float64)
-    terms = (ks / phi_table(x)[1:].astype(np.float64)) ** beta
-    assert ratio_power_sum(beta, x).sum == math.fsum(terms.tolist())
+    # results do not depend on how the range is cut into blocks, or on
+    # whether an even n's term is formed from its odd part's.  The first
+    # block holds the 2**17 odd m below 2**18, so x = 2**18 + 1 opens a
+    # second, and from x = 2**19 + 2 its m have even multiples up to x too.
+    top = 2 ** 19 + 3
+    ks = np.arange(1, top + 1, dtype=np.float64)
+    terms = (ks / phi_table(top)[1:].astype(np.float64)) ** beta
+    for x in (1, 2, 3, 2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1, 2 ** 18, 2 ** 18 + 1, 300000,
+              2 ** 19 + 1, 2 ** 19 + 2, top):
+        assert ratio_power_sum(beta, x).sum == math.fsum(terms[:x].tolist()), x
+
+
+def test_ratio_power_sum_forms_no_even_term_past_x(monkeypatch):
+    # n = 30 = 2 * 15 has 30 / phi(30) = 2 * 15 / phi(15) = 3.75, and 3.75**600
+    # is past the float range; below it every term is finite.  So a sum that
+    # formed (2 * 15 / phi(15))**600 for x = 29 would overflow.  No primes in
+    # the product, as in the two tests above.
+    import phisigma.sieves
+
+    real = phisigma.sieves.primes_upto
+    monkeypatch.setattr(phisigma.sieves, "primes_upto", lambda n: real(1 if n == 10 ** 5 else n))
+    got = ratio_power_sum(600.0, 29).sum
+    assert math.isfinite(got) and got == pytest.approx(7.4957e286, rel=1e-4)
+    with pytest.raises(DomainError, match="the sum is not a finite float"):
+        ratio_power_sum(600.0, 30)
 
 
 @pytest.mark.parametrize("beta", [True, "abc", None])
